@@ -38,7 +38,6 @@ _EXPORTS = {
     "Pseudospectrum": "doalab.fastgrid",
     "make_grid": "doalab.fastgrid",
     "colnorms_sq_fft": "doalab.fastgrid",
-    "objective_via_fft": "doalab.fastgrid",
     # subspace
     "SubspaceDecomposition": "doalab.subspace",
     "sample_covariance": "doalab.subspace",
@@ -52,9 +51,6 @@ _EXPORTS = {
     "greedy_update": "doalab.greedy",
     "greedy_estimate": "doalab.greedy",
     # gimusic
-    "GimusicState": "doalab.gimusic",
-    "gimusic_objective": "doalab.gimusic",
-    "gimusic_update": "doalab.gimusic",
     "gimusic_estimate": "doalab.gimusic",
     # order
     "OrderEstimate": "doalab.order",

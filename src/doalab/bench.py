@@ -187,7 +187,6 @@ def run_trial(
     methods: tuple,
     criteria: tuple | None = None,
     evaluator: str = "fft",
-    evd_per_iter: bool = False,
 ) -> TrialResult:
     """Synthesize one scenario and score every method on it.
 
@@ -203,8 +202,6 @@ def run_trial(
         methods: Method ids to run.
         criteria: Per-method order criterion (default: true-k for all).
         evaluator: "fft" or "direct".
-        evd_per_iter: Per-iteration eigendecomposition cost emulation for
-            the iterative-MUSIC methods.
     """
     if criteria is None:
         criteria = ("true-k",) * len(methods)
@@ -240,7 +237,7 @@ def run_trial(
         k_hat = k_by_criterion[crit]
         start = perf_counter()
         try:
-            est = estimate_method(method, R, k_hat, grid, evaluator, evd_per_iter)
+            est = estimate_method(method, R, k_hat, grid, evaluator)
             seconds = perf_counter() - start
             error = None
         except Exception as exc:  # per-trial failures are data, not crashes
@@ -284,8 +281,7 @@ def _apply_sweep_value(base: ScenarioConfig, parameter: str, value) -> ScenarioC
 
 
 def _trial_task(args):
-    cfg, trial_index, methods, criteria, evaluator, evd_per_iter = args
-    return run_trial(cfg, trial_index, methods, criteria, evaluator, evd_per_iter)
+    return run_trial(*args)
 
 
 def trimmed_mean(values, trim_fraction: float = 0.05) -> float:
@@ -312,7 +308,6 @@ def run_sweep(
     spec: SweepSpec,
     serial: bool = False,
     workers: int | None = None,
-    evd_per_iter: bool = False,
 ) -> ResultTable:
     """Run a full sweep and aggregate per-(value, method) rows.
 
@@ -332,7 +327,7 @@ def run_sweep(
         cfg_v = _apply_sweep_value(spec.base, spec.parameter, value)
         cfg_v.validate()
         for t in range(spec.trials):
-            tasks.append((cfg_v, t, tuple(spec.methods), criteria, spec.evaluator, evd_per_iter))
+            tasks.append((cfg_v, t, tuple(spec.methods), criteria, spec.evaluator))
 
     if serial or _worker_count(workers) == 1 or len(tasks) == 1:
         results = [_trial_task(task) for task in tasks]

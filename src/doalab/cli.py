@@ -57,12 +57,6 @@ def _build_parser() -> _Parser:
         default=None,
         help="override the grid evaluator",
     )
-    sweep.add_argument(
-        "--evd-per-iter",
-        action="store_true",
-        help="emulate per-iteration eigendecomposition cost in the "
-        "iterative-MUSIC methods",
-    )
 
     sub.add_parser("demo", help="pretty-print one trial of every method")
     return parser
@@ -79,7 +73,7 @@ def _cmd_sweep(args) -> None:
         spec = replace(spec, trials=args.trials)
     if args.evaluator is not None:
         spec = replace(spec, evaluator=args.evaluator)
-    table = run_sweep(spec, serial=args.serial, evd_per_iter=args.evd_per_iter)
+    table = run_sweep(spec, serial=args.serial)
     emit_csv(table, args.out)
     print(
         f"wrote {len(table)} rows ({spec.parameter} x {len(spec.methods)} methods, "

@@ -44,7 +44,8 @@ from scipy import fft as sp_fft
 from doalab.scenario import steering_matrix
 
 # Saturation guard for reciprocal (noise-form) pseudospectra: denominators
-# below SAT_RTOL * M produce the sentinel value SAT_VALUE.
+# below SAT_RTOL * M, after division by the operand's largest squared column
+# norm, produce the sentinel value SAT_VALUE.
 SAT_RTOL = 1e-15
 SAT_VALUE = 1e15
 # Ratio-form candidates whose projected steering norm falls below
@@ -295,6 +296,11 @@ def objective_values(
             values = _refined_colnorms_sq(num, grid)
         else:
             values = colnorms_sq(num, grid, evaluator)
+        # Normalized so that c * R selects what R selects (eigenvalue-weighted
+        # operands scale with sqrt(c)); an orthonormal operand has scale 1.
+        scale = np.max(np.sum(num.real**2 + num.imag**2, axis=0), initial=0.0)
+        if scale > 0:
+            values = values / scale
         sat = values < SAT_RTOL * M
         out = np.empty_like(values)
         out[~sat] = 1.0 / values[~sat]
@@ -315,14 +321,3 @@ def objective_values(
     out[masked] = -np.inf
     return out
 
-
-def objective_via_fft(
-    num: np.ndarray,
-    grid: DoaGrid,
-    variant: str,
-    pc: np.ndarray | None = None,
-) -> Pseudospectrum:
-    """FFT-path objective evaluation wrapped as a Pseudospectrum."""
-    return Pseudospectrum(
-        values=objective_values(num, grid, variant, "fft", pc), grid=grid
-    )

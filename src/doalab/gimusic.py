@@ -1,10 +1,11 @@
 """Greedy iterative MUSIC: subspace-residual greedy estimators.
 
-One eigendecomposition up front, then each iteration projects the ORIGINAL
-signal (and optionally noise) eigenvectors onto the complement of the
-selected steering span and scores candidates with a MUSIC-style objective on
-that residual subspace.  The square-root covariance factors exactly into the
-scaled signal and noise subspaces, which gives three useful identities:
+One eigendecomposition up front, then the greedy engine of
+:mod:`doalab.greedy` runs on the ORIGINAL signal (or noise) eigenvectors:
+each iteration projects them onto the complement of the selected steering
+span and scores candidates with a MUSIC-style objective on that residual
+subspace.  The square-root covariance factors exactly into the scaled signal
+and noise subspaces, which gives three useful identities:
 
 * the OMP objective equals the sum of the weighted signal and noise residual
   objectives pointwise (so dropping the noise term bounds the error by the
@@ -13,22 +14,19 @@ scaled signal and noise subspaces, which gives three useful identities:
   steering norm, hence select identical candidates,
 * at k = 0 the unweighted objective IS the signal-form MUSIC pseudospectrum.
 
-Compared to plain OMP/OLS this swaps the M-column residual square root for a
-K-column residual subspace — fewer transforms per iteration and no
+Compared to plain OMP/OLS this swaps the M-column square-root operand for a
+K-column subspace operand — fewer transforms per iteration and no
 per-iteration eigendecomposition.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
-
 import numpy as np
 
-from doalab.fastgrid import DoaGrid, Pseudospectrum, objective_values
-from doalab.linalg import hermitian_evd, projectors
-from doalab.scenario import steering_matrix
-from doalab.subspace import SubspaceDecomposition, _as_covariance, partition
+from doalab.fastgrid import DoaGrid
+from doalab.greedy import greedy_step, initial_state
+from doalab.linalg import hermitian_evd
+from doalab.subspace import SubspaceDecomposition, partition
 
 GIMUSIC_METHODS = ("omp-imusic", "ols-imusic", "omp-iwmusic", "ols-iwmusic")
 GIMUSIC_VARIANTS = (
@@ -40,104 +38,22 @@ GIMUSIC_VARIANTS = (
 )
 
 
-@dataclass(frozen=True)
-class GimusicState:
-    """Greedy selection state over residual subspaces.
+def variant_operand(dec: SubspaceDecomposition, variant: str) -> np.ndarray:
+    """The operand whose residual a variant scores.
 
-    Attributes:
-        selected: Angles chosen so far, in selection order.
-        Pc: M x M complement projector of their steering span.
-        k: Iteration count.
-        dec: The single up-front subspace decomposition; its S/G are the
-            originals that every residual is projected from.
-        Sres: Pc @ dec.S (M x K, rank may drop as selections accumulate).
-        Gres: Pc @ dec.G, maintained only when a noise-form objective was
-            requested (None otherwise).
-        phase_factor: Element phase factor for steering reconstruction.
-    """
-
-    selected: tuple
-    Pc: np.ndarray
-    k: int
-    dec: SubspaceDecomposition
-    Sres: np.ndarray
-    Gres: np.ndarray | None
-    phase_factor: float = math.pi
-
-
-def initial_gimusic_state(
-    dec: SubspaceDecomposition,
-    phase_factor: float = math.pi,
-    with_noise: bool = False,
-) -> GimusicState:
-    """State before any selection: residuals equal the original subspaces."""
-    return GimusicState(
-        selected=(),
-        Pc=np.eye(dec.M, dtype=complex),
-        k=0,
-        dec=dec,
-        Sres=dec.S,
-        Gres=dec.G if with_noise else None,
-        phase_factor=phase_factor,
-    )
-
-
-def _numerator(state: GimusicState, variant: str) -> np.ndarray:
-    if variant in ("omp-imusic", "ols-imusic-signal"):
-        return state.Sres
-    if variant in ("omp-iwmusic", "ols-iwmusic"):
-        return state.Sres * np.sqrt(state.dec.lambda_s)[None, :]
-    if variant == "ols-imusic-noise":
-        if state.Gres is None:
-            raise ValueError(
-                "noise-form objective needs a state built with with_noise=True"
-            )
-        return state.Gres
-    raise ValueError(f"unknown objective variant: {variant!r}")
-
-
-def gimusic_objective(
-    state: GimusicState,
-    grid: DoaGrid,
-    variant: str = "ols-imusic-signal",
-    evaluator: str = "fft",
-) -> Pseudospectrum:
-    """Candidate scores from the residual subspaces.
-
-    Variants: ``omp-imusic`` scores ``||Sres^H a||^2``; ``ols-imusic-signal``
+    ``omp-imusic`` scores ``||residual(S)^H a||^2`` and ``ols-imusic-signal``
     divides that by ``||Pc a||^2``; ``ols-imusic-noise`` scores
-    ``1 - ||Gres^H a||^2 / ||Pc a||^2`` (same argmax, complementary form);
-    the two weighted variants scale residual columns by the square roots of
-    the signal eigenvalues first.  Ratio forms mask degenerate candidates to
-    -inf exactly like OLS.
+    ``1 - ||residual(G)^H a||^2 / ||Pc a||^2`` (same argmax, complementary
+    form); the two weighted variants use S scaled columnwise by the square
+    roots of the signal eigenvalues.
     """
-    values = objective_values(
-        _numerator(state, variant), grid, variant, evaluator, pc=state.Pc
-    )
-    return Pseudospectrum(values=values, grid=grid)
-
-
-def gimusic_update(state: GimusicState, new_angle: float) -> GimusicState:
-    """Add one angle; re-project the ORIGINAL subspaces, no new EVD.
-
-    Raises:
-        ValueError: If the angle was already selected.
-        numpy.linalg.LinAlgError: On a rank-deficient steering selection.
-    """
-    if new_angle in state.selected:
-        raise ValueError(f"angle {new_angle} already selected")
-    selected = state.selected + (float(new_angle),)
-    A = steering_matrix(selected, state.dec.M, state.phase_factor)
-    _, Pc = projectors(A)
-    return GimusicState(
-        selected=selected,
-        Pc=Pc,
-        k=state.k + 1,
-        dec=state.dec,
-        Sres=Pc @ state.dec.S,
-        Gres=None if state.Gres is None else Pc @ state.dec.G,
-        phase_factor=state.phase_factor,
-    )
+    if variant in ("omp-imusic", "ols-imusic-signal"):
+        return dec.S
+    if variant in ("omp-iwmusic", "ols-iwmusic"):
+        return dec.weighted_signal()
+    if variant == "ols-imusic-noise":
+        return dec.G
+    raise ValueError(f"unknown objective variant: {variant!r}")
 
 
 def resolve_variant(method: str, K: int, M: int) -> str:
@@ -148,15 +64,13 @@ def resolve_variant(method: str, K: int, M: int) -> str:
     """
     if method == "ols-imusic":
         return "ols-imusic-signal" if K <= M - K else "ols-imusic-noise"
-    if method in ("omp-imusic", "omp-iwmusic", "ols-iwmusic"):
-        return method
     if method in GIMUSIC_VARIANTS:
         return method
     raise ValueError(f"unknown greedy iterative-MUSIC method: {method!r}")
 
 
 def gimusic_estimate(
-    data: np.ndarray,
+    R: np.ndarray,
     K: int,
     grid: DoaGrid,
     method: str = "ols-imusic",
@@ -166,7 +80,7 @@ def gimusic_estimate(
     """Estimate K angles with a single up-front eigendecomposition.
 
     Args:
-        data: M x L observation matrix or M x M covariance.
+        R: M x M sample covariance.
         K: Number of angles, 1 <= K < M.
         grid: Search grid.
         method: A method id from GIMUSIC_METHODS or a concrete variant from
@@ -182,19 +96,15 @@ def gimusic_estimate(
     Returns:
         K grid angles in selection order.
     """
-    R = _as_covariance(data)
     M = R.shape[0]
     if not 1 <= K < M:
         raise ValueError(f"K must satisfy 1 <= K < M, got K={K}, M={M}")
     variant = resolve_variant(method, K, M)
-    dec = partition(R, K)  # the one and only eigendecomposition
-    state = initial_gimusic_state(
-        dec, grid.phase_factor, with_noise=variant == "ols-imusic-noise"
-    )
+    X = variant_operand(partition(R, K), variant)  # the one and only EVD
+    state = initial_state(M, grid.phase_factor)
     for it in range(K):
         if emulate_evd_per_iter and it > 0:
             residual_cov = state.Pc @ R @ state.Pc
             hermitian_evd(0.5 * (residual_cov + residual_cov.conj().T))
-        ps = gimusic_objective(state, grid, variant, evaluator)
-        state = gimusic_update(state, grid.angles[int(np.argmax(ps.values))])
+        state = greedy_step(state, X, grid, variant, evaluator)
     return np.array(state.selected)

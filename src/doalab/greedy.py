@@ -1,11 +1,24 @@
-"""Greedy one-angle-per-iteration estimators over the covariance square root.
+"""The greedy engine: one angle per iteration over a growing orthonormal basis.
 
-OMP scores candidates by correlation with the square-root residual
-covariance; OLS scores the least-squares improvement of refitting all
-selected angles plus the candidate, reduced to an efficient ratio form
-(residual correlation over projected steering norm).  Both recompute the
-complement projector from the full selected steering matrix each iteration —
-selection counts are small, and recomputation avoids rank-one update drift.
+Every greedy estimator in the package is the same loop over a different
+operand X: the covariance square root for OMP/OLS, and the signal subspace,
+its eigenvalue-weighted form or the noise subspace for the iterative-MUSIC
+family (see :mod:`doalab.gimusic`).  Each iteration scores the grid on the
+residual ``X - Q (Q^H X)``, where the columns of Q are an orthonormal basis of
+the selected steering span, and appends the best angle.  OMP-type variants
+score ``||residual^H a(u)||^2``; OLS-type variants divide that by the
+projected steering norm ``||Pc a(u)||^2`` with ``Pc = I - Q Q^H``, which is
+the least-squares improvement of refitting all selected angles plus the
+candidate.
+
+The basis grows by one column per selection: the new steering vector is
+orthogonalized against Q twice (classical Gram-Schmidt with one
+reorthogonalization, CGS2).  This is the orthogonal form of OLS (Chen,
+Billings & Luo 1989); the second pass keeps Q orthonormal to machine
+precision however ill-conditioned the selected steering matrix becomes
+("twice is enough": Giraud, Langou & Rozložník 2005).  So no per-iteration
+rebuild of the selected steering matrix, pseudoinverse or projector is
+needed, and the rank guard is simply the new column's residual norm.
 """
 
 from __future__ import annotations
@@ -15,94 +28,100 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from doalab.fastgrid import DoaGrid, Pseudospectrum, objective_values
-from doalab.linalg import projectors
-from doalab.scenario import steering_matrix
+from doalab.fastgrid import MASK_RTOL, DoaGrid, objective_values
+from doalab.scenario import steering_vector
 
 GREEDY_METHODS = ("omp", "ols")
 
 
 @dataclass(frozen=True)
 class GreedyState:
-    """Selection state after k greedy iterations.
+    """Selection state after ``len(selected)`` greedy iterations.
 
     Attributes:
         selected: Angles chosen so far, in selection order.
-        Pc: M x M projector onto the complement of their steering span.
-        residual_sqrt: Pc applied to the initial covariance square root.
-        k: Iteration count (= len(selected)).
-        sqrt0: The initial square root, kept so updates recompute the
-            residual from scratch instead of compounding projections.
-        phase_factor: Element phase factor used to rebuild steering vectors.
+        Q: M x len(selected) matrix with orthonormal columns spanning their
+            steering vectors.
+        phase_factor: Element phase factor of the steering vectors.
     """
 
     selected: tuple
-    Pc: np.ndarray
-    residual_sqrt: np.ndarray
-    k: int
-    sqrt0: np.ndarray
+    Q: np.ndarray
     phase_factor: float = math.pi
 
+    def residual(self, X: np.ndarray) -> np.ndarray:
+        """``X - Q (Q^H X)``: X projected onto the complement of the span."""
+        return X - self.Q @ (self.Q.conj().T @ X)
 
-def initial_state(sqrt_R: np.ndarray, phase_factor: float = math.pi) -> GreedyState:
-    """State before any selection: Pc = I, residual = the full square root."""
-    M = sqrt_R.shape[0]
+    @property
+    def Pc(self) -> np.ndarray:
+        """M x M projector ``I - Q Q^H`` onto the complement of the span."""
+        return np.eye(self.Q.shape[0], dtype=complex) - self.Q @ self.Q.conj().T
+
+
+def initial_state(M: int, phase_factor: float = math.pi) -> GreedyState:
+    """State before any selection: an empty basis, so every residual is X."""
     return GreedyState(
-        selected=(),
-        Pc=np.eye(M, dtype=complex),
-        residual_sqrt=np.asarray(sqrt_R, dtype=complex),
-        k=0,
-        sqrt0=np.asarray(sqrt_R, dtype=complex),
-        phase_factor=phase_factor,
+        selected=(), Q=np.empty((M, 0), dtype=complex), phase_factor=phase_factor
     )
 
 
 def greedy_objective(
     state: GreedyState,
+    X: np.ndarray,
     grid: DoaGrid,
-    method: str = "omp",
+    variant: str,
     evaluator: str = "fft",
-) -> Pseudospectrum:
-    """Candidate scores for the next angle.
+) -> np.ndarray:
+    """Candidate scores for the next angle, aligned with ``grid.angles``.
 
-    OMP: ``||residual_sqrt^H a(u)||^2``.  OLS: the same numerator divided by
-    ``||Pc a(u)||^2``; candidates whose projected steering norm falls below
-    1e-9*M (already selected or numerically degenerate) are masked to -inf.
+    The numerator is the residual of the operand X; OLS-type variants (every
+    id starting with "ols") are ratio forms and also get the complement
+    projector, whose degenerate candidates (projected steering norm below
+    ``MASK_RTOL * M``, e.g. already selected) score -inf.
     """
-    if method not in GREEDY_METHODS:
-        raise ValueError(f"unknown greedy method: {method!r}")
-    values = objective_values(
-        state.residual_sqrt, grid, method, evaluator, pc=state.Pc
-    )
-    return Pseudospectrum(values=values, grid=grid)
+    pc = state.Pc if variant.startswith("ols") else None
+    return objective_values(state.residual(X), grid, variant, evaluator, pc=pc)
 
 
 def greedy_update(state: GreedyState, new_angle: float) -> GreedyState:
-    """Add one angle and refresh the projector and residual.
-
-    The complement projector is recomputed from the full steering matrix of
-    all selected angles, and the residual square root is re-derived from the
-    initial one, so the state is always bit-recomputable from scratch.
+    """Add one angle: append its steering vector orthogonalized twice against Q.
 
     Raises:
         ValueError: If the angle was already selected.
-        numpy.linalg.LinAlgError: If the selected steering matrix becomes
-            rank-deficient (near-duplicate angles).
+        numpy.linalg.LinAlgError: If the steering vector's residual squared
+            norm falls below ``MASK_RTOL * M``, the threshold at which ratio
+            objectives mask a candidate (a near-duplicate selection).
     """
     if new_angle in state.selected:
         raise ValueError(f"angle {new_angle} already selected")
-    selected = state.selected + (float(new_angle),)
-    M = state.Pc.shape[0]
-    A = steering_matrix(selected, M, state.phase_factor)
-    _, Pc = projectors(A)
+    Q = state.Q
+    M = Q.shape[0]
+    a = steering_vector(new_angle, M, state.phase_factor)
+    for _ in range(2):
+        a = a - Q @ (Q.conj().T @ a)
+    norm_sq = float(np.vdot(a, a).real)
+    if norm_sq < MASK_RTOL * M:
+        raise np.linalg.LinAlgError(
+            "rank-deficient selection (near-duplicate selected angles)"
+        )
     return GreedyState(
-        selected=selected,
-        Pc=Pc,
-        residual_sqrt=Pc @ state.sqrt0,
-        k=state.k + 1,
-        sqrt0=state.sqrt0,
+        selected=state.selected + (float(new_angle),),
+        Q=np.column_stack([Q, a / math.sqrt(norm_sq)]),
         phase_factor=state.phase_factor,
     )
+
+
+def greedy_step(
+    state: GreedyState,
+    X: np.ndarray,
+    grid: DoaGrid,
+    variant: str,
+    evaluator: str = "fft",
+) -> GreedyState:
+    """One iteration: select the grid angle with the best score."""
+    values = greedy_objective(state, X, grid, variant, evaluator)
+    return greedy_update(state, grid.angles[int(np.argmax(values))])
 
 
 def greedy_estimate(
@@ -112,20 +131,21 @@ def greedy_estimate(
     method: str = "omp",
     evaluator: str = "fft",
 ) -> np.ndarray:
-    """Run K greedy iterations and return the selected angles in order.
+    """Run K OMP or OLS iterations and return the selected angles in order.
 
     Args:
-        sqrt_R: M x M covariance square root.
+        sqrt_R: M x M covariance square root, the operand of both methods.
         K: Number of angles to select, 1 <= K < M.
         grid: Search grid.
         method: "omp" or "ols".
         evaluator: "fft" or "direct".
     """
+    if method not in GREEDY_METHODS:
+        raise ValueError(f"unknown greedy method: {method!r}")
     M = sqrt_R.shape[0]
     if not 1 <= K < M:
         raise ValueError(f"K must satisfy 1 <= K < M, got K={K}, M={M}")
-    state = initial_state(sqrt_R, grid.phase_factor)
+    state = initial_state(M, grid.phase_factor)
     for _ in range(K):
-        ps = greedy_objective(state, grid, method, evaluator)
-        state = greedy_update(state, grid.angles[int(np.argmax(ps.values))])
+        state = greedy_step(state, sqrt_R, grid, method, evaluator)
     return np.array(state.selected)

@@ -1,7 +1,9 @@
 """Complex dense linear algebra kernel for the estimators.
 
-Hermitian eigendecomposition, the canonical covariance square root,
-normal-equations pseudoinverse, and subspace projectors.  Everything here is
+Hermitian eigendecomposition, the canonical covariance square root, and a
+normal-equations pseudoinverse with subspace projectors; the estimators use
+none of the latter two (see :mod:`doalab.greedy`), which serve as the
+reference the tests check the greedy engine against.  Everything here is
 a pure function over numpy arrays; matrices are plain ``complex128`` ndarrays
 with value semantics.
 """
@@ -116,7 +118,7 @@ def pseudoinverse(A: np.ndarray) -> np.ndarray:
     """Moore-Penrose pseudoinverse of a tall full-column-rank matrix.
 
     Computed as (A^H A)^{-1} A^H via a Cholesky factorization of the small
-    Gram matrix; the selected-steering matrices this is used on have far
+    Gram matrix; selected-steering matrices, which it is meant for, have far
     fewer columns than rows, so the normal-equations route is both cheap and
     stable enough.
 

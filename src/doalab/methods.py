@@ -26,7 +26,6 @@ def estimate_method(
     K: int,
     grid: DoaGrid,
     evaluator: str = "fft",
-    evd_per_iter: bool = False,
 ) -> np.ndarray:
     """Run one estimator on a sample covariance.
 
@@ -37,8 +36,6 @@ def estimate_method(
             cannot run without a model order).
         grid: Search grid.
         evaluator: "fft" or "direct".
-        evd_per_iter: Cost-emulation flag, meaningful only for the
-            iterative-MUSIC family.
 
     Returns:
         Estimated normalized angles (selection order for greedy methods,
@@ -53,11 +50,4 @@ def estimate_method(
     if method in GREEDY_METHODS:
         sqrt_R = covariance_sqrt(hermitian_evd(R))
         return greedy_estimate(sqrt_R, K, grid, method=method, evaluator=evaluator)
-    return gimusic_estimate(
-        R,
-        K,
-        grid,
-        method=method,
-        evaluator=evaluator,
-        emulate_evd_per_iter=evd_per_iter,
-    )
+    return gimusic_estimate(R, K, grid, method=method, evaluator=evaluator)

@@ -16,13 +16,8 @@ from typing import Callable
 import numpy as np
 
 from doalab.fastgrid import DoaGrid
-from doalab.gimusic import (
-    GIMUSIC_VARIANTS,
-    gimusic_objective,
-    gimusic_update,
-    initial_gimusic_state,
-)
-from doalab.greedy import greedy_objective, greedy_update, initial_state
+from doalab.gimusic import GIMUSIC_VARIANTS, variant_operand
+from doalab.greedy import greedy_step, initial_state
 from doalab.subspace import SubspaceDecomposition
 
 # Geometric-mean zero floor: keeps log of exact-zero eigenvalues finite.
@@ -142,50 +137,27 @@ def hybrid_order(
     trace_R = float(np.sum(sqrt_R.real**2 + sqrt_R.imag**2))
 
     if ols_variant == "ols":
-        state = initial_state(sqrt_R, grid.phase_factor)
-
-        def next_angle(s):
-            return grid.angles[int(np.argmax(greedy_objective(s, grid, "ols", evaluator).values))]
-
-        def advance(s, angle):
-            return greedy_update(s, angle)
-
-        def residual_energy(s):
-            return float(np.sum(s.residual_sqrt.real**2 + s.residual_sqrt.imag**2))
-
+        X = sqrt_R
     elif ols_variant in GIMUSIC_VARIANTS and ols_variant.startswith("ols"):
         if decomposition is None:
             raise ValueError(f"variant {ols_variant!r} needs a decomposition")
-        state = initial_gimusic_state(
-            decomposition, grid.phase_factor, with_noise=ols_variant == "ols-imusic-noise"
-        )
-
-        def next_angle(s):
-            return grid.angles[
-                int(np.argmax(gimusic_objective(s, grid, ols_variant, evaluator).values))
-            ]
-
-        def advance(s, angle):
-            return gimusic_update(s, angle)
-
-        def residual_energy(s):
-            res = s.Pc @ sqrt_R
-            return float(np.sum(res.real**2 + res.imag**2))
-
+        X = variant_operand(decomposition, ols_variant)
     else:
         raise ValueError(f"not an OLS-family variant: {ols_variant!r}")
 
     def criterion_at(k, state):
-        eps = max(residual_energy(state) / trace_R, _EPS_FLOOR)
+        res = state.residual(sqrt_R)
+        eps = max(float(np.sum(res.real**2 + res.imag**2)) / trace_R, _EPS_FLOOR)
         return criterion(k, eps, M, snapshots)
 
+    state = initial_state(M, grid.phase_factor)
     curve = np.full(M, np.nan)
     for _ in range(base.k_hat):
-        state = advance(state, next_angle(state))
+        state = greedy_step(state, X, grid, ols_variant, evaluator)
     k = base.k_hat
     curve[k] = criterion_at(k, state)
     while k < max_k:
-        candidate = advance(state, next_angle(state))
+        candidate = greedy_step(state, X, grid, ols_variant, evaluator)
         curve[k + 1] = criterion_at(k + 1, candidate)
         if not curve[k + 1] < curve[k]:
             break

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from doalab.fastgrid import DoaGrid, Pseudospectrum, objective_values
-from doalab.linalg import HERMITIAN_RTOL, covariance_sqrt, hermitian_evd
+from doalab.linalg import covariance_sqrt, hermitian_evd
 
 MUSIC_VARIANTS = ("music-signal", "music-noise", "wmusic-signal", "wmusic-noise")
 
@@ -100,8 +100,10 @@ def pseudospectrum(
 
     Signal forms score ``||S^H a(u)||^2`` (weighted: S scaled by
     sqrt(lambda_s)); noise forms score the reciprocal of the same norm taken
-    against G, with denominators below 1e-15*M saturated to 1e15 so exact
-    noiseless nulls keep argmax semantics instead of overflowing.
+    against G (weighted: G scaled by sqrt(lambda_n)), divided by the
+    operand's largest squared column norm, with denominators below 1e-15*M
+    saturated to 1e15 so exact noiseless nulls keep argmax semantics instead
+    of overflowing.
     """
     if variant not in MUSIC_VARIANTS:
         raise ValueError(f"unknown pseudospectrum variant: {variant!r}")
@@ -150,20 +152,6 @@ def select_peaks(ps: Pseudospectrum, K: int) -> np.ndarray:
     return ps.grid.angles[select_peak_indices(ps.values, K)]
 
 
-def _as_covariance(data: np.ndarray) -> np.ndarray:
-    """Accept either a covariance or an observation matrix.
-
-    A square matrix that is Hermitian within tolerance is taken to be a
-    covariance already; anything else is reduced with sample_covariance.
-    """
-    data = np.asarray(data)
-    if data.shape[0] == data.shape[1]:
-        norm = np.linalg.norm(data)
-        if norm == 0 or np.linalg.norm(data - data.conj().T) <= HERMITIAN_RTOL * norm:
-            return data
-    return sample_covariance(data)
-
-
 def default_music_variant(K: int, M: int, weighted: bool = False) -> str:
     """Cheaper-subspace default: signal form when K <= M-K, else noise."""
     family = "wmusic" if weighted else "music"
@@ -171,7 +159,7 @@ def default_music_variant(K: int, M: int, weighted: bool = False) -> str:
 
 
 def music_estimate(
-    data: np.ndarray,
+    R: np.ndarray,
     K: int,
     grid: DoaGrid,
     variant: str = "auto",
@@ -180,7 +168,7 @@ def music_estimate(
     """MUSIC/WMUSIC point estimates of K normalized angles.
 
     Args:
-        data: Either the M x L observation matrix or an M x M covariance.
+        R: M x M sample covariance.
         K: Number of angles to report (also the signal subspace dimension).
         grid: Search grid.
         variant: Pseudospectrum variant, or "auto" to pick the cheaper of
@@ -190,7 +178,6 @@ def music_estimate(
     Returns:
         K grid angles ordered by descending peak value.
     """
-    R = _as_covariance(data)
     if variant == "auto":
         variant = default_music_variant(K, R.shape[0])
     dec = partition(R, K)

@@ -27,13 +27,7 @@ import pytest
 
 from doalab.bench import run_trial
 from doalab.fastgrid import MASK_RTOL, make_grid, objective_values
-from doalab.gimusic import (
-    GIMUSIC_METHODS,
-    gimusic_estimate,
-    gimusic_objective,
-    gimusic_update,
-    initial_gimusic_state,
-)
+from doalab.gimusic import GIMUSIC_METHODS, gimusic_estimate
 from doalab.greedy import greedy_objective, greedy_update, initial_state
 from doalab.linalg import covariance_sqrt, evd_call_count, hermitian_evd, projectors
 from doalab.methods import METHOD_IDS, estimate_method
@@ -135,7 +129,7 @@ def test_criterion_01_captured_energy_forms_agree():
 # ---------------------------------------------------------------------------
 
 
-def _naive_ols_scores(state, grid) -> np.ndarray:
+def _naive_ols_scores(state, sqrt_R, grid) -> np.ndarray:
     """Captured energy of an explicit augmented-projector refit per candidate.
 
     For each grid angle, the projector onto the span of all selected steering
@@ -155,7 +149,7 @@ def _naive_ols_scores(state, grid) -> np.ndarray:
             continue
         B = np.hstack([A_sel, grid.steering[:, p : p + 1]])
         P = B @ np.linalg.pinv(B)
-        scores[p] = np.linalg.norm(P @ state.sqrt0) ** 2
+        scores[p] = np.linalg.norm(P @ sqrt_R) ** 2
     return scores
 
 
@@ -165,10 +159,11 @@ def test_criterion_02_ols_fast_form_matches_naive_refit():
     grid = make_grid(N, M)
     for _ in range(100):
         R = sample_covariance(_random_observation(rng, M, L))
-        state = initial_state(covariance_sqrt(hermitian_evd(R)))
+        sqrt_R = covariance_sqrt(hermitian_evd(R))
+        state = initial_state(M)
         for _ in range(K):
-            fast = greedy_objective(state, grid, "ols", "fft").values
-            slow = _naive_ols_scores(state, grid)
+            fast = greedy_objective(state, sqrt_R, grid, "ols", "fft")
+            slow = _naive_ols_scores(state, sqrt_R, grid)
             pick = int(np.argmax(fast))
             assert pick == int(np.argmax(slow))
             state = greedy_update(state, grid.angles[pick])
@@ -177,14 +172,15 @@ def test_criterion_02_ols_fast_form_matches_naive_refit():
     M2, N2 = 16, 2048
     grid2 = make_grid(N2, M2)
     R2 = sample_covariance(_random_observation(rng, M2, 64))
-    state2 = initial_state(covariance_sqrt(hermitian_evd(R2)))
+    sqrt_R2 = covariance_sqrt(hermitian_evd(R2))
+    state2 = initial_state(M2)
     for _ in range(2):
-        ps = greedy_objective(state2, grid2, "ols", "fft")
-        state2 = greedy_update(state2, grid2.angles[int(np.argmax(ps.values))])
+        ps = greedy_objective(state2, sqrt_R2, grid2, "ols", "fft")
+        state2 = greedy_update(state2, grid2.angles[int(np.argmax(ps))])
     meds = _interleaved_medians(
         {
-            "fast": lambda: greedy_objective(state2, grid2, "ols", "fft"),
-            "slow": lambda: _naive_ols_scores(state2, grid2),
+            "fast": lambda: greedy_objective(state2, sqrt_R2, grid2, "ols", "fft"),
+            "slow": lambda: _naive_ols_scores(state2, sqrt_R2, grid2),
         },
         repeats=3,
     )
@@ -206,9 +202,10 @@ def test_criterion_03_residual_correlation_equals_weighted_subspace_sum():
     for _ in range(100):
         R = sample_covariance(_random_observation(rng, M, L))
         evd = hermitian_evd(R)
-        state = initial_state(covariance_sqrt(evd))
+        sqrt_R = covariance_sqrt(evd)
+        state = initial_state(M)
         for _ in range(K):
-            omp_vals = greedy_objective(state, grid, "omp", "direct").values
+            omp_vals = greedy_objective(state, sqrt_R, grid, "omp", "direct")
             proj = (state.Pc @ evd.eigenvectors).conj().T @ grid.steering
             subspace_sum = evd.eigenvalues @ (proj.real**2 + proj.imag**2)
             scale = float(omp_vals.max())
@@ -232,13 +229,14 @@ def test_criterion_04_residual_ratio_signal_and_noise_forms_agree():
     for _ in range(100):
         R = sample_covariance(_random_observation(rng, M, L))
         K = int(rng.integers(1, 5))
-        state = initial_gimusic_state(partition(R, K), with_noise=True)
+        dec = partition(R, K)
+        state = initial_state(M)
         for _ in range(int(rng.integers(0, 3))):
             pick = float(grid.angles[int(rng.integers(0, N))])
             if pick not in state.selected:
-                state = gimusic_update(state, pick)
-        sig = gimusic_objective(state, grid, "ols-imusic-signal").values
-        noi = gimusic_objective(state, grid, "ols-imusic-noise").values
+                state = greedy_update(state, pick)
+        sig = greedy_objective(state, dec.S, grid, "ols-imusic-signal")
+        noi = greedy_objective(state, dec.G, grid, "ols-imusic-noise")
         assert int(np.argmax(sig)) == int(np.argmax(noi))
         np.testing.assert_array_equal(np.isneginf(sig), np.isneginf(noi))
     _report(4, "identical selections on 100 random states (masks identical too)")
@@ -262,26 +260,27 @@ def test_criterion_05_fft_evaluator_matches_direct_and_is_faster():
     evd = hermitian_evd(R)
     dec = partition(R, K)
 
-    gstate = initial_state(covariance_sqrt(evd))
+    sqrt_R = covariance_sqrt(evd)
+    gstate = initial_state(M)
     for _ in range(3):
-        vals = greedy_objective(gstate, grid, "ols", "fft").values
+        vals = greedy_objective(gstate, sqrt_R, grid, "ols", "fft")
         gstate = greedy_update(gstate, grid.angles[int(np.argmax(vals))])
-    istate = initial_gimusic_state(dec, with_noise=True)
+    istate = initial_state(M)
     for _ in range(3):
-        vals = gimusic_objective(istate, grid, "ols-imusic-signal").values
-        istate = gimusic_update(istate, grid.angles[int(np.argmax(vals))])
-    weighted_res = istate.Sres * np.sqrt(istate.dec.lambda_s)[None, :]
+        vals = greedy_objective(istate, dec.S, grid, "ols-imusic-signal")
+        istate = greedy_update(istate, grid.angles[int(np.argmax(vals))])
+    weighted_res = istate.residual(dec.weighted_signal())
 
     cases = {
         "music-signal": (dec.S, None),
         "music-noise": (dec.G, None),
         "wmusic-signal": (dec.weighted_signal(), None),
         "wmusic-noise": (dec.weighted_noise(), None),
-        "omp": (gstate.residual_sqrt, gstate.Pc),
-        "ols": (gstate.residual_sqrt, gstate.Pc),
-        "omp-imusic": (istate.Sres, istate.Pc),
-        "ols-imusic-signal": (istate.Sres, istate.Pc),
-        "ols-imusic-noise": (istate.Gres, istate.Pc),
+        "omp": (gstate.residual(sqrt_R), gstate.Pc),
+        "ols": (gstate.residual(sqrt_R), gstate.Pc),
+        "omp-imusic": (istate.residual(dec.S), istate.Pc),
+        "ols-imusic-signal": (istate.residual(dec.S), istate.Pc),
+        "ols-imusic-noise": (istate.residual(dec.G), istate.Pc),
         "omp-iwmusic": (weighted_res, istate.Pc),
         "ols-iwmusic": (weighted_res, istate.Pc),
     }

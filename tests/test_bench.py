@@ -22,8 +22,15 @@ from doalab.bench import (
 )
 from doalab.cli import main
 from doalab.config import ConfigError, parse_config
-from doalab.methods import METHOD_IDS
-from doalab.scenario import ScenarioConfig
+from doalab.fastgrid import make_grid
+from doalab.methods import METHOD_IDS, estimate_method
+from doalab.scenario import (
+    ScenarioConfig,
+    draw_targets,
+    synthesize_observation,
+    trial_rng,
+)
+from doalab.subspace import sample_covariance
 
 
 def small_cfg(**overrides):
@@ -135,6 +142,50 @@ def test_noiseless_single_target_every_method_exact():
     assert all(row.youden_j == 1.0 for row in table)
 
 
+@pytest.fixture(scope="module")
+def campaign_scene():
+    """Covariance and grid of the K=8, M=16, Q=512, D=10, 20 dB scene, trial 0."""
+    cfg = ScenarioConfig(
+        targets=8, antennas=16, subcarriers=512, symbols=10, snr_db=20.0, seed=1
+    )
+    rng = trial_rng(cfg.seed, 0)
+    obs = synthesize_observation(draw_targets(cfg, rng), cfg, rng)
+    return sample_covariance(obs.Y), make_grid(cfg.grid_points, cfg.antennas)
+
+
+@pytest.mark.parametrize("evaluator", ["fft", "direct"])
+@pytest.mark.parametrize("method", METHOD_IDS)
+def test_estimates_do_not_depend_on_covariance_scale(campaign_scene, method, evaluator):
+    R, grid = campaign_scene
+    ref = estimate_method(method, R, 8, grid, evaluator)
+    for c in (1e-24, 1e-12, 1e12, 1e24):
+        np.testing.assert_array_equal(
+            estimate_method(method, c * R, 8, grid, evaluator), ref, err_msg=f"c={c}"
+        )
+
+
+def test_run_trial_survives_near_collinear_hybrid_selection():
+    # Hybrid order runs OLS up to K = M-1 = 15; on this trial the selected
+    # steering matrix is ill-conditioned enough that a normal-equations
+    # projector would reject it, and the exception escaped run_trial.
+    cfg = ScenarioConfig(
+        targets=8, antennas=16, subcarriers=256, symbols=4, snr_db=40.0, seed=1
+    )
+    tr = run_trial(cfg, 11, METHOD_IDS, ("hybrid",) * len(METHOD_IDS), "direct")
+    for out in tr.outcomes.values():
+        assert out.error is None
+        assert out.estimates.size == out.k_hat
+
+
+def test_ols_completes_on_near_collinear_true_k_selection():
+    cfg = ScenarioConfig(
+        targets=8, antennas=16, subcarriers=512, symbols=10, snr_db=20.0, seed=209
+    )
+    out = run_trial(cfg, 121, ("ols",)).outcomes["ols"]
+    assert out.error is None
+    assert out.estimates.size == 8
+
+
 # ---------------------------------------------------------------- run_sweep
 
 
@@ -192,10 +243,10 @@ def test_run_sweep_evaluators_agree_on_metrics():
 def test_run_sweep_records_failures_without_aborting(monkeypatch, capsys):
     real = bench.estimate_method
 
-    def flaky(method, R, K, grid, evaluator="fft", evd_per_iter=False):
+    def flaky(method, R, K, grid, evaluator="fft"):
         if method == "ols":
             raise RuntimeError("boom")
-        return real(method, R, K, grid, evaluator, evd_per_iter)
+        return real(method, R, K, grid, evaluator)
 
     monkeypatch.setattr(bench, "estimate_method", flaky)
     spec = sweep_spec(values=(20.0,), methods=("music-signal", "ols"))
@@ -218,7 +269,7 @@ def test_run_sweep_records_failures_without_aborting(monkeypatch, capsys):
 
 
 def test_run_trial_captures_estimator_errors(monkeypatch):
-    def broken(method, R, K, grid, evaluator="fft", evd_per_iter=False):
+    def broken(method, R, K, grid, evaluator="fft"):
         raise RuntimeError("boom")
 
     monkeypatch.setattr(bench, "estimate_method", broken)
@@ -478,6 +529,33 @@ def test_cli_sweep_writes_csv(tmp_path, capsys):
     table = load_results(str(out))
     assert len(table) == 4
     assert {r.method for r in table} == {"music-signal", "omp"}
+
+
+def test_cli_hybrid_direct_sweep_writes_csv(tmp_path):
+    config = write_config(
+        tmp_path,
+        """
+[scenario]
+targets = 8
+antennas = 16
+subcarriers = 256
+symbols = 4
+snr_db = 40
+seed = 1
+
+[sweep]
+parameter = snr_db
+values = 40
+trials = 40
+methods = ols
+order_criterion = hybrid
+evaluator = direct
+""",
+    )
+    out = tmp_path / "results.csv"
+    assert main(["sweep", "--config", config, "--out", str(out), "--serial"]) == 0
+    (row,) = load_results(str(out))
+    assert row.method == "ols" and row.trials == 40
 
 
 def test_cli_overrides(tmp_path):

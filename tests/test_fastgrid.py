@@ -14,7 +14,6 @@ from doalab.fastgrid import (
     colnorms_sq_fft,
     make_grid,
     objective_values,
-    objective_via_fft,
     quadform_fft,
 )
 from doalab.scenario import steering_matrix, steering_vector
@@ -296,11 +295,3 @@ def test_ratio_form_requires_projector():
     with pytest.raises(ValueError, match="projector"):
         objective_values(A, grid, "ols")
 
-
-def test_objective_wrapper_returns_pseudospectrum():
-    grid = make_grid(32, 4)
-    A = random_complex(np.random.default_rng(0), 4, 2)
-    ps = objective_via_fft(A, grid, "omp")
-    assert isinstance(ps, fastgrid.Pseudospectrum)
-    assert ps.grid is grid
-    np.testing.assert_array_equal(ps.values, objective_values(A, grid, "omp"))

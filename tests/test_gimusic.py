@@ -10,15 +10,16 @@ from doalab.fastgrid import colnorms_sq, make_grid, objective_values
 from doalab.gimusic import (
     GIMUSIC_METHODS,
     gimusic_estimate,
-    gimusic_objective,
-    gimusic_update,
-    initial_gimusic_state,
     resolve_variant,
+    variant_operand,
 )
+from doalab.greedy import greedy_objective, greedy_step, greedy_update, initial_state
+from doalab.linalg import projectors
 from doalab.scenario import (
     GroundTruth,
     ScenarioConfig,
     draw_targets,
+    steering_matrix,
     steering_vector,
     synthesize_observation,
     trial_rng,
@@ -43,10 +44,9 @@ def scenario_dec(seed, M=8, K=3, snr_db=30.0, N=256):
     return R, partition(R, K), make_grid(N, M), truth
 
 
-def advance(state, grid, variant, steps):
+def advance(state, dec, grid, variant, steps):
     for _ in range(steps):
-        ps = gimusic_objective(state, grid, variant)
-        state = gimusic_update(state, grid.angles[int(np.argmax(ps.values))])
+        state = greedy_step(state, variant_operand(dec, variant), grid, variant)
     return state
 
 
@@ -57,8 +57,7 @@ def test_initial_objective_is_signal_pseudospectrum():
     # Before any selection the unweighted residual objective and the
     # signal-form pseudospectrum are the same function.
     _, dec, grid, _ = scenario_dec(seed=0)
-    state = initial_gimusic_state(dec)
-    obj = gimusic_objective(state, grid, "omp-imusic").values
+    obj = greedy_objective(initial_state(dec.M), dec.S, grid, "omp-imusic")
     music = pseudospectrum(dec, grid, "music-signal").values
     np.testing.assert_allclose(obj, music, atol=1e-12 * dec.M)
 
@@ -69,32 +68,27 @@ def test_energy_split_identity(seed):
     # correlation energy splits exactly into the weighted residual-subspace
     # energies at every grid point and every iteration.
     R, dec, grid, _ = scenario_dec(seed=seed)
-    state = initial_gimusic_state(dec, with_noise=True)
+    state = initial_state(dec.M)
     for _ in range(3):
         omp_energy = colnorms_sq(state.Pc @ dec.sqrt_R, grid, "fft")
-        sig = colnorms_sq(
-            state.Sres * np.sqrt(dec.lambda_s)[None, :], grid, "fft"
-        )
-        noi = colnorms_sq(
-            state.Gres * np.sqrt(dec.lambda_n)[None, :], grid, "fft"
-        )
+        sig = colnorms_sq(state.residual(dec.weighted_signal()), grid, "fft")
+        noi = colnorms_sq(state.residual(dec.weighted_noise()), grid, "fft")
         np.testing.assert_allclose(
             sig + noi, omp_energy, rtol=0, atol=1e-9 * omp_energy.max()
         )
-        state = advance(state, grid, "ols-imusic-signal", 1)
+        state = advance(state, dec, grid, "ols-imusic-signal", 1)
 
 
 @pytest.mark.parametrize("seed", range(6))
 def test_signal_and_noise_ratio_forms_pick_same_candidate(seed):
-    # ||Sres^H a||^2/||Pc a||^2 and 1 - ||Gres^H a||^2/||Pc a||^2 differ by
+    # ||(Pc S)^H a||^2/||Pc a||^2 and 1 - ||(Pc G)^H a||^2/||Pc a||^2 differ by
     # a reshuffling of the same orthonormal split, so their argmax agrees.
     rng = np.random.default_rng(seed)
     R, dec, grid, _ = scenario_dec(seed=seed, M=10, K=4)
-    state = initial_gimusic_state(dec, with_noise=True)
     steps = int(rng.integers(0, 3))
-    state = advance(state, grid, "ols-imusic-signal", steps)
-    sig = gimusic_objective(state, grid, "ols-imusic-signal").values
-    noi = gimusic_objective(state, grid, "ols-imusic-noise").values
+    state = advance(initial_state(dec.M), dec, grid, "ols-imusic-signal", steps)
+    sig = greedy_objective(state, dec.S, grid, "ols-imusic-signal")
+    noi = greedy_objective(state, dec.G, grid, "ols-imusic-noise")
     assert int(np.argmax(sig)) == int(np.argmax(noi))
     # And the forms are complementary where defined: the residual signal and
     # noise energies partition ||Pc a||^2, so sig + (1 - noi) = 1.
@@ -107,10 +101,9 @@ def test_dropping_noise_term_bounded_by_largest_noise_eigenvalue(seed):
     # |OMP energy - weighted residual signal energy| <= lambda_n_max *
     # ||Pc a||^2 pointwise: the dropped term is the weighted noise energy.
     R, dec, grid, _ = scenario_dec(seed=seed, M=12, K=3)
-    state = initial_gimusic_state(dec, with_noise=True)
-    state = advance(state, grid, "ols-imusic-signal", 1)
+    state = advance(initial_state(dec.M), dec, grid, "ols-imusic-signal", 1)
     omp_energy = colnorms_sq(state.Pc @ dec.sqrt_R, grid, "fft")
-    weighted = gimusic_objective(state, grid, "omp-iwmusic").values
+    weighted = greedy_objective(state, dec.weighted_signal(), grid, "omp-iwmusic")
     bound = dec.lambda_n.max() * colnorms_sq(state.Pc, grid, "fft")
     slack = 1e-9 * omp_energy.max()
     assert np.all(np.abs(omp_energy - weighted) <= bound + slack)
@@ -118,28 +111,35 @@ def test_dropping_noise_term_bounded_by_largest_noise_eigenvalue(seed):
 
 def test_residuals_reproject_original_subspaces():
     _, dec, grid, _ = scenario_dec(seed=7)
-    state = initial_gimusic_state(dec, with_noise=True)
-    state = advance(state, grid, "ols-imusic-signal", 2)
-    np.testing.assert_allclose(state.Sres, state.Pc @ dec.S, atol=1e-12)
-    np.testing.assert_allclose(state.Gres, state.Pc @ dec.G, atol=1e-12)
+    state = advance(initial_state(dec.M), dec, grid, "ols-imusic-signal", 2)
+    _, Pc = projectors(steering_matrix(state.selected, dec.M))
+    Sres = state.residual(dec.S)
+    np.testing.assert_allclose(Sres, Pc @ dec.S, atol=1e-12)
+    np.testing.assert_allclose(state.residual(dec.G), Pc @ dec.G, atol=1e-12)
     # After selecting an angle, the residual signal energy there is gone.
     for u in state.selected:
         a = steering_vector(u, dec.M)
-        assert np.sum(np.abs(state.Sres.conj().T @ a) ** 2) <= 1e-9 * dec.M
+        assert np.sum(np.abs(Sres.conj().T @ a) ** 2) <= 1e-9 * dec.M
 
 
-def test_noise_form_requires_noise_residual():
-    _, dec, grid, _ = scenario_dec(seed=8)
-    state = initial_gimusic_state(dec, with_noise=False)
-    with pytest.raises(ValueError, match="with_noise"):
-        gimusic_objective(state, grid, "ols-imusic-noise")
+def test_variant_operand_selects_subspace():
+    _, dec, _, _ = scenario_dec(seed=8)
+    assert variant_operand(dec, "ols-imusic-noise") is dec.G
+    for variant in ("omp-imusic", "ols-imusic-signal"):
+        assert variant_operand(dec, variant) is dec.S
+    for variant in ("omp-iwmusic", "ols-iwmusic"):
+        np.testing.assert_array_equal(
+            variant_operand(dec, variant), dec.weighted_signal()
+        )
+    with pytest.raises(ValueError, match="variant"):
+        variant_operand(dec, "ols-imusic")
 
 
 def test_duplicate_angle_rejected():
     _, dec, grid, _ = scenario_dec(seed=9)
-    state = gimusic_update(initial_gimusic_state(dec), grid.angles[5])
+    state = greedy_update(initial_state(dec.M), grid.angles[5])
     with pytest.raises(ValueError, match="already selected"):
-        gimusic_update(state, grid.angles[5])
+        greedy_update(state, grid.angles[5])
 
 
 # ---------------------------------------------------------------- dispatch
@@ -178,25 +178,6 @@ def test_evd_emulation_counts_k_and_keeps_selection():
     np.testing.assert_array_equal(plain, emulated)
 
 
-def test_estimate_accepts_observation_input():
-    cfg = ScenarioConfig(
-        targets=3,
-        antennas=8,
-        subcarriers=32,
-        symbols=4,
-        snr_db=30.0,
-        grid_points=256,
-        seed=12,
-    )
-    rng = trial_rng(cfg.seed, 0)
-    truth = draw_targets(cfg, rng)
-    obs = synthesize_observation(truth, cfg, rng)
-    grid = make_grid(cfg.grid_points, cfg.antennas)
-    from_y = gimusic_estimate(obs.Y, 3, grid, "omp-imusic")
-    from_r = gimusic_estimate(sample_covariance(obs.Y), 3, grid, "omp-imusic")
-    np.testing.assert_array_equal(from_y, from_r)
-
-
 def test_estimate_validates_k():
     R, _, grid, _ = scenario_dec(seed=13)
     with pytest.raises(ValueError, match="K must satisfy"):
@@ -228,5 +209,5 @@ def test_noiseless_two_targets_exact(method):
         noise_variance=0.0,
     )
     obs = synthesize_observation(truth, cfg, trial_rng(cfg.seed, 0))
-    est = gimusic_estimate(obs.Y, 2, grid, method)
+    est = gimusic_estimate(sample_covariance(obs.Y), 2, grid, method)
     np.testing.assert_array_equal(np.sort(est), np.sort(truth.doas))

@@ -10,6 +10,7 @@ from doalab.fastgrid import make_grid
 from doalab.greedy import (
     greedy_estimate,
     greedy_objective,
+    greedy_step,
     greedy_update,
     initial_state,
 )
@@ -43,7 +44,7 @@ def scenario_sqrt(seed, M=8, K=3, snr_db=30.0, N=256):
     return obs, R, covariance_sqrt(hermitian_evd(R)), make_grid(N, M)
 
 
-def slow_objective_forms(state, obs, R, grid):
+def slow_objective_forms(state, obs, R, sqrt_R, grid):
     """Per-candidate oracle of the three equivalent correlation objectives.
 
     Returns (observation form, covariance form, square-root form) where the
@@ -60,7 +61,7 @@ def slow_objective_forms(state, obs, R, grid):
         obs_form[p] = np.sum(np.abs(Yn.conj().T @ a) ** 2)
         cov_form[p] = (a.conj() @ Rk @ a).real
     sqrt_form = np.sum(
-        np.abs(state.residual_sqrt.conj().T @ grid.steering) ** 2, axis=0
+        np.abs(state.residual(sqrt_R).conj().T @ grid.steering) ** 2, axis=0
     )
     return obs_form, cov_form, sqrt_form
 
@@ -71,38 +72,38 @@ def slow_objective_forms(state, obs, R, grid):
 def test_initial_state_is_identity_projection():
     rng = np.random.default_rng(0)
     sqrt_R = random_complex(rng, 6, 6)
-    state = initial_state(sqrt_R)
-    assert state.k == 0 and state.selected == ()
+    state = initial_state(6)
+    assert state.selected == () and state.Q.shape == (6, 0)
     np.testing.assert_array_equal(state.Pc, np.eye(6))
-    np.testing.assert_array_equal(state.residual_sqrt, sqrt_R)
+    np.testing.assert_array_equal(state.residual(sqrt_R), sqrt_R)
 
 
 def test_update_projects_out_selected_steering():
     _, _, sqrt_R, grid = scenario_sqrt(seed=1)
-    state = initial_state(sqrt_R)
+    state = initial_state(grid.M)
     state = greedy_update(state, grid.angles[40])
     state = greedy_update(state, grid.angles[170])
-    assert state.k == 2 and state.selected == (grid.angles[40], grid.angles[170])
+    assert state.selected == (grid.angles[40], grid.angles[170])
     A = steering_matrix(state.selected, grid.M)
     assert np.linalg.norm(state.Pc @ A) <= 1e-9 * np.linalg.norm(A)
 
 
 def test_update_rejects_duplicate_angle():
     _, _, sqrt_R, grid = scenario_sqrt(seed=2)
-    state = greedy_update(initial_state(sqrt_R), grid.angles[10])
+    state = greedy_update(initial_state(grid.M), grid.angles[10])
     with pytest.raises(ValueError, match="already selected"):
         greedy_update(state, grid.angles[10])
 
 
 def test_residual_is_recomputable_from_scratch():
     _, _, sqrt_R, grid = scenario_sqrt(seed=3)
-    state = initial_state(sqrt_R)
+    state = initial_state(grid.M)
     for p in (25, 90, 200):
         state = greedy_update(state, grid.angles[p])
     A = steering_matrix(state.selected, grid.M)
     _, Pc = projectors(A)
     np.testing.assert_allclose(
-        state.residual_sqrt,
+        state.residual(sqrt_R),
         Pc @ sqrt_R,
         atol=1e-10 * np.linalg.norm(sqrt_R),
     )
@@ -117,13 +118,13 @@ def test_correlation_objective_forms_agree(seed):
     # projected covariance, or the projected square root; all three must
     # agree at every grid point, at every iteration.
     obs, R, sqrt_R, grid = scenario_sqrt(seed=seed)
-    state = initial_state(sqrt_R)
+    state = initial_state(grid.M)
     for _ in range(3):
-        obs_form, cov_form, sqrt_form = slow_objective_forms(state, obs, R, grid)
+        obs_form, cov_form, sqrt_form = slow_objective_forms(state, obs, R, sqrt_R, grid)
         scale = np.max(cov_form)
         np.testing.assert_allclose(obs_form, cov_form, rtol=0, atol=1e-9 * scale)
         np.testing.assert_allclose(sqrt_form, cov_form, rtol=0, atol=1e-9 * scale)
-        omp = greedy_objective(state, grid, "omp").values
+        omp = greedy_objective(state, sqrt_R, grid, "omp")
         np.testing.assert_allclose(omp, cov_form, rtol=0, atol=1e-9 * scale)
         state = greedy_update(state, grid.angles[int(np.argmax(omp))])
 
@@ -131,11 +132,10 @@ def test_correlation_objective_forms_agree(seed):
 @pytest.mark.parametrize("method", ["omp", "ols"])
 def test_captured_energy_is_monotone(method):
     obs, R, sqrt_R, grid = scenario_sqrt(seed=4, K=4)
-    state = initial_state(sqrt_R)
+    state = initial_state(grid.M)
     captured = [0.0]
     for _ in range(5):
-        ps = greedy_objective(state, grid, method)
-        state = greedy_update(state, grid.angles[int(np.argmax(ps.values))])
+        state = greedy_step(state, sqrt_R, grid, method)
         P = np.eye(grid.M) - state.Pc
         captured.append(float(np.trace(R @ P).real))
     diffs = np.diff(captured)
@@ -144,11 +144,11 @@ def test_captured_energy_is_monotone(method):
 
 def test_ols_masks_already_selected_candidates():
     _, _, sqrt_R, grid = scenario_sqrt(seed=5)
-    state = initial_state(sqrt_R)
-    first = greedy_objective(state, grid, "ols")
-    p0 = int(np.argmax(first.values))
+    state = initial_state(grid.M)
+    first = greedy_objective(state, sqrt_R, grid, "ols")
+    p0 = int(np.argmax(first))
     state = greedy_update(state, grid.angles[p0])
-    second = greedy_objective(state, grid, "ols").values
+    second = greedy_objective(state, sqrt_R, grid, "ols")
     assert second[p0] == -np.inf
     assert int(np.argmax(second)) != p0
 
@@ -156,7 +156,7 @@ def test_ols_masks_already_selected_candidates():
 def test_unknown_method_rejected():
     _, _, sqrt_R, grid = scenario_sqrt(seed=6)
     with pytest.raises(ValueError, match="greedy method"):
-        greedy_objective(initial_state(sqrt_R), grid, "omps")
+        greedy_estimate(sqrt_R, 2, grid, "omps")
     with pytest.raises(ValueError, match="K must satisfy"):
         greedy_estimate(sqrt_R, 0, grid)
 
@@ -235,9 +235,9 @@ def test_ols_slow_projector_oracle_agrees():
     # "maximize the energy captured by refitting all selected angles plus
     # the candidate" evaluated with a full projector rebuild per candidate.
     obs, R, sqrt_R, grid = scenario_sqrt(seed=10, M=8, K=3, N=128)
-    state = initial_state(sqrt_R)
+    state = initial_state(grid.M)
     for _ in range(3):
-        fast = greedy_objective(state, grid, "ols").values
+        fast = greedy_objective(state, sqrt_R, grid, "ols")
         captured = np.full(grid.N, -np.inf)
         for p in range(grid.N):
             if not np.isfinite(fast[p]):
@@ -251,3 +251,26 @@ def test_ols_slow_projector_oracle_agrees():
             captured[p] = float(np.trace(R @ P).real)
         assert int(np.argmax(fast)) == int(np.argmax(captured))
         state = greedy_update(state, grid.angles[int(np.argmax(fast))])
+
+
+@pytest.mark.parametrize("method", ["omp", "ols"])
+def test_basis_stays_orthonormal_at_k_m_minus_one(method):
+    # The hybrid-order scene whose K = M-1 OLS selection tripped the old
+    # normal-equations rank guard: CGS2 keeps Q orthonormal and the residual
+    # orthogonal to every selected steering vector all the way to M-1.
+    cfg = ScenarioConfig(
+        targets=8, antennas=16, subcarriers=256, symbols=4, snr_db=40.0, seed=1
+    )
+    rng = trial_rng(cfg.seed, 11)
+    obs = synthesize_observation(draw_targets(cfg, rng), cfg, rng)
+    sqrt_R = covariance_sqrt(hermitian_evd(sample_covariance(obs.Y)))
+    M = cfg.antennas
+    grid = make_grid(cfg.grid_points, M)
+    state = initial_state(M)
+    for _ in range(M - 1):
+        state = greedy_step(state, sqrt_R, grid, method, "direct")
+    assert len(set(state.selected)) == M - 1
+    assert np.linalg.norm(state.Q.conj().T @ state.Q - np.eye(M - 1)) <= 1e-12
+    A = steering_matrix(state.selected, M)
+    leak = np.linalg.norm(A.conj().T @ state.residual(sqrt_R))
+    assert leak <= 1e-12 * np.linalg.norm(A) * np.linalg.norm(sqrt_R)

@@ -20,7 +20,6 @@ from doalab.scenario import (
 )
 from doalab.subspace import (
     SubspaceDecomposition,
-    _as_covariance,
     default_music_variant,
     music_estimate,
     partition,
@@ -227,17 +226,6 @@ def test_select_peaks_wraps_to_angles():
 # ---------------------------------------------------------------- estimates
 
 
-def test_as_covariance_detects_both_input_kinds():
-    rng = np.random.default_rng(4)
-    Y = random_complex(rng, 6, 50)
-    R = sample_covariance(Y)
-    np.testing.assert_array_equal(_as_covariance(R), R)
-    np.testing.assert_array_equal(_as_covariance(Y), R)
-    # A square observation matrix is not Hermitian, so it still reduces.
-    Ysq = random_complex(rng, 6, 6)
-    np.testing.assert_array_equal(_as_covariance(Ysq), sample_covariance(Ysq))
-
-
 def test_default_variant_picks_cheaper_subspace():
     assert default_music_variant(3, 16) == "music-signal"
     assert default_music_variant(8, 16) == "music-signal"
@@ -278,29 +266,8 @@ def test_noiseless_single_target_exact_recovery():
     )
     obs = synthesize_observation(truth, cfg, trial_rng(cfg.seed, 0))
     for variant in ("auto", "music-signal", "music-noise"):
-        est = music_estimate(obs.Y, 1, grid, variant)
+        est = music_estimate(sample_covariance(obs.Y), 1, grid, variant)
         np.testing.assert_allclose(est, truth.doas, atol=1e-12)
-
-
-def test_music_estimate_accepts_covariance_input():
-    cfg = ScenarioConfig(
-        targets=2,
-        antennas=8,
-        subcarriers=64,
-        symbols=4,
-        snr_db=30.0,
-        grid_points=256,
-        seed=9,
-    )
-    rng = trial_rng(cfg.seed, 0)
-    from doalab.scenario import draw_targets
-
-    truth = draw_targets(cfg, rng)
-    obs = synthesize_observation(truth, cfg, rng)
-    grid = make_grid(cfg.grid_points, cfg.antennas)
-    from_y = music_estimate(obs.Y, 2, grid)
-    from_r = music_estimate(sample_covariance(obs.Y), 2, grid)
-    np.testing.assert_array_equal(from_y, from_r)
 
 
 def test_noiseless_nulls_saturate_noise_spectrum():
