@@ -11,12 +11,11 @@ benchmark harness automates.  Run:
 import numpy as np
 
 from doalab.fastgrid import make_grid
-from doalab.gimusic import gimusic_estimate
-from doalab.greedy import greedy_estimate
-from doalab.linalg import covariance_sqrt, hermitian_evd
+from doalab.linalg import hermitian_evd
+from doalab.methods import estimate_method, pseudospectrum
 from doalab.metrics import associate, detection_metrics
 from doalab.scenario import ScenarioConfig, draw_targets, synthesize_observation, trial_rng
-from doalab.subspace import music_estimate, sample_covariance
+from doalab.subspace import partition, sample_covariance
 
 
 def ascii_spectrum(values, grid, truth, width=72, rows=12):
@@ -55,19 +54,13 @@ def main():
 
     grid = make_grid(cfg.grid_points, cfg.antennas)
 
-    from doalab.subspace import partition
-    from doalab.fastgrid import objective_values
-    dec = partition(R, cfg.targets)
-    spectrum = objective_values(dec.G, grid, "music-noise", "fft")
+    spectrum = pseudospectrum(partition(R, cfg.targets), grid, "music-noise").values
     print("\nnoise-form pseudospectrum (truth marked with ^):")
     print(ascii_spectrum(spectrum, grid, truth))
 
     estimates = {
-        "music-noise": music_estimate(R, cfg.targets, grid, "music-noise"),
-        "omp": greedy_estimate(covariance_sqrt(evd), cfg.targets, grid, "omp"),
-        "ols": greedy_estimate(covariance_sqrt(evd), cfg.targets, grid, "ols"),
-        "omp-imusic": gimusic_estimate(R, cfg.targets, grid, "omp-imusic"),
-        "ols-imusic": gimusic_estimate(R, cfg.targets, grid, "ols-imusic"),
+        method: estimate_method(method, R, cfg.targets, grid)
+        for method in ("music-noise", "omp", "ols", "omp-imusic", "ols-imusic")
     }
     print("\nestimates (sorted, sin domain; J = hits minus false alarms, 1 is perfect):")
     for name, est in estimates.items():

@@ -42,16 +42,10 @@ _EXPORTS = {
     "SubspaceDecomposition": "doalab.subspace",
     "sample_covariance": "doalab.subspace",
     "partition": "doalab.subspace",
-    "pseudospectrum": "doalab.subspace",
-    "select_peaks": "doalab.subspace",
-    "music_estimate": "doalab.subspace",
     # greedy
     "GreedyState": "doalab.greedy",
     "greedy_objective": "doalab.greedy",
     "greedy_update": "doalab.greedy",
-    "greedy_estimate": "doalab.greedy",
-    # gimusic
-    "gimusic_estimate": "doalab.gimusic",
     # order
     "OrderEstimate": "doalab.order",
     "aic_rank": "doalab.order",
@@ -68,6 +62,7 @@ _EXPORTS = {
     # methods / bench
     "METHOD_IDS": "doalab.methods",
     "estimate_method": "doalab.methods",
+    "pseudospectrum": "doalab.methods",
     "SweepSpec": "doalab.bench",
     "ResultRow": "doalab.bench",
     "TrialResult": "doalab.bench",

@@ -18,9 +18,10 @@ import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from multiprocessing import get_context
 from time import perf_counter
+from typing import get_type_hints
 
 import numpy as np
 
@@ -40,26 +41,6 @@ from doalab.subspace import sample_covariance
 SWEEP_PARAMETERS = ("snr_db", "targets", "subcarriers", "antennas")
 ORDER_CRITERIA = ("true-k", "rank-aic", "hybrid")
 EVALUATORS = ("fft", "direct")
-
-# CSV column order; one row per (sweep value, method).
-RESULT_FIELDS = (
-    "sweep_param",
-    "sweep_value",
-    "method",
-    "criterion",
-    "evaluator",
-    "trials",
-    "youden_j",
-    "hit_rate",
-    "fa_rate",
-    "rmse",
-    "rmse_coverage",
-    "mean_time_ms",
-    "t_metric",
-    "s_metric",
-    "mean_k_hat",
-    "seed",
-)
 
 # Fraction of per-method trial failures at one sweep point that triggers a
 # sweep warning.
@@ -173,6 +154,11 @@ class ResultRow:
     seed: int
 
 
+# CSV column order (one row per (sweep value, method)) and column types.
+RESULT_FIELDS = tuple(f.name for f in fields(ResultRow))
+_FIELD_TYPES = get_type_hints(ResultRow)
+
+
 class ResultTable(list):
     """List of ResultRow plus any sweep-level warnings."""
 
@@ -220,16 +206,7 @@ def run_trial(
         base = aic_rank(evd.eigenvalues, L)
         k_by_criterion["rank-aic"] = base.k_hat
         if "hybrid" in criteria:
-            hyb = hybrid_order(
-                None,
-                covariance_sqrt(evd),
-                grid,
-                M - 1,
-                base,
-                ols_variant="ols",
-                evaluator=evaluator,
-                snapshots=L,
-            )
+            hyb = hybrid_order(covariance_sqrt(evd), grid, M - 1, base, L, evaluator)
             k_by_criterion["hybrid"] = hyb.k_hat
 
     raw = {}
@@ -424,27 +401,13 @@ def load_results(path: str) -> ResultTable:
         header = next(reader)
         if tuple(header) != RESULT_FIELDS:
             raise ValueError(f"unexpected CSV header in {path}")
-        rows = []
-        for record in reader:
-            data = dict(zip(RESULT_FIELDS, record))
-            rows.append(
-                ResultRow(
-                    sweep_param=data["sweep_param"],
-                    sweep_value=float(data["sweep_value"]),
-                    method=data["method"],
-                    criterion=data["criterion"],
-                    evaluator=data["evaluator"],
-                    trials=int(data["trials"]),
-                    youden_j=float(data["youden_j"]),
-                    hit_rate=float(data["hit_rate"]),
-                    fa_rate=float(data["fa_rate"]),
-                    rmse=float(data["rmse"]),
-                    rmse_coverage=float(data["rmse_coverage"]),
-                    mean_time_ms=float(data["mean_time_ms"]),
-                    t_metric=float(data["t_metric"]),
-                    s_metric=float(data["s_metric"]),
-                    mean_k_hat=float(data["mean_k_hat"]),
-                    seed=int(data["seed"]),
-                )
+        rows = [
+            ResultRow(
+                **{
+                    name: _FIELD_TYPES[name](value)
+                    for name, value in zip(RESULT_FIELDS, record)
+                }
             )
+            for record in reader
+        ]
     return ResultTable(rows)

@@ -58,20 +58,9 @@ MASK_RTOL = 1e-9
 # objectives peak and saturate.
 REFINE_RTOL = 1e-4
 
-# variant id -> algebraic form of the objective
-_FORMS = {
-    "music-signal": "norm",
-    "wmusic-signal": "norm",
-    "music-noise": "reciprocal",
-    "wmusic-noise": "reciprocal",
-    "omp": "norm",
-    "omp-imusic": "norm",
-    "omp-iwmusic": "norm",
-    "ols": "ratio",
-    "ols-imusic-signal": "ratio",
-    "ols-iwmusic": "ratio",
-    "ols-imusic-noise": "complement-ratio",
-}
+# Algebraic forms of a grid objective over an operand X (see objective_values).
+FORMS = ("norm", "reciprocal", "ratio", "complement-ratio")
+RATIO_FORMS = ("ratio", "complement-ratio")
 
 
 @dataclass(frozen=True)
@@ -102,7 +91,7 @@ class Pseudospectrum:
     """Objective values over a search grid.
 
     Ratio-form objectives mark excluded candidates with ``-inf``; all other
-    variants are finite and non-negative.
+    forms are finite and non-negative.
     """
 
     values: np.ndarray
@@ -262,19 +251,20 @@ def colnorms_sq(A: np.ndarray, grid: DoaGrid, evaluator: str = "fft") -> np.ndar
 def objective_values(
     num: np.ndarray,
     grid: DoaGrid,
-    variant: str,
+    form: str,
     evaluator: str = "fft",
     pc: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Evaluate one objective variant over the grid.
+    """Evaluate one objective form over the grid.
 
     Args:
         num: Numerator operand (subspace, weighted subspace, or square-root
             residual matrix) with M rows.
         grid: Search grid.
-        variant: One of the method/variant ids; determines the algebraic
-            form (plain norm, reciprocal with saturation, or a ratio against
-            the projected steering norm with masking).
+        form: One of FORMS: "norm" scores ``||num^H a||^2``; "reciprocal"
+            its inverse, with saturation; "ratio" divides it by the
+            projected steering norm ``||Pc a||^2`` and "complement-ratio"
+            is one minus that ratio, both masking degenerate candidates.
         evaluator: "fft" or "direct"; both agree to 1e-8 relative.  On the
             fft path, numerators ride per-column transforms, so each
             method's cost scales with its own operand width; reciprocal
@@ -287,8 +277,12 @@ def objective_values(
 
     Returns:
         Length-N value array aligned with ``grid.angles``.
+
+    Raises:
+        ValueError: On an unknown form, or a ratio form without ``pc``.
     """
-    form = _FORMS[variant]
+    if form not in FORMS:
+        raise ValueError(f"unknown objective form: {form!r}")
     M = num.shape[0]
     quad = evaluator == "fft" and grid.phase_factor == math.pi
     if form == "reciprocal":
@@ -310,7 +304,7 @@ def objective_values(
     if form == "norm":
         return values
     if pc is None:
-        raise ValueError(f"variant {variant!r} needs the complement projector")
+        raise ValueError(f"form {form!r} needs the complement projector")
     denom = quadform_fft(pc, grid) if quad else colnorms_sq(pc, grid, evaluator)
     masked = denom < MASK_RTOL * M
     safe = np.where(masked, 1.0, denom)

@@ -3,13 +3,13 @@
 Every greedy estimator in the package is the same loop over a different
 operand X: the covariance square root for OMP/OLS, and the signal subspace,
 its eigenvalue-weighted form or the noise subspace for the iterative-MUSIC
-family (see :mod:`doalab.gimusic`).  Each iteration scores the grid on the
+family (see :mod:`doalab.methods`).  Each iteration scores the grid on the
 residual ``X - Q (Q^H X)``, where the columns of Q are an orthonormal basis of
-the selected steering span, and appends the best angle.  OMP-type variants
-score ``||residual^H a(u)||^2``; OLS-type variants divide that by the
-projected steering norm ``||Pc a(u)||^2`` with ``Pc = I - Q Q^H``, which is
-the least-squares improvement of refitting all selected angles plus the
-candidate.
+the selected steering span, and appends the best angle.  The "norm" form
+scores ``||residual^H a(u)||^2`` (OMP-type); the ratio forms divide that by
+the projected steering norm ``||Pc a(u)||^2`` with ``Pc = I - Q Q^H``, which
+is the least-squares improvement of refitting all selected angles plus the
+candidate (OLS-type).
 
 The basis grows by one column per selection: the new steering vector is
 orthogonalized against Q twice (classical Gram-Schmidt with one
@@ -28,10 +28,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from doalab.fastgrid import MASK_RTOL, DoaGrid, objective_values
+from doalab.fastgrid import MASK_RTOL, RATIO_FORMS, DoaGrid, objective_values
 from doalab.scenario import steering_vector
-
-GREEDY_METHODS = ("omp", "ols")
 
 
 @dataclass(frozen=True)
@@ -70,18 +68,18 @@ def greedy_objective(
     state: GreedyState,
     X: np.ndarray,
     grid: DoaGrid,
-    variant: str,
+    form: str,
     evaluator: str = "fft",
 ) -> np.ndarray:
     """Candidate scores for the next angle, aligned with ``grid.angles``.
 
-    The numerator is the residual of the operand X; OLS-type variants (every
-    id starting with "ols") are ratio forms and also get the complement
-    projector, whose degenerate candidates (projected steering norm below
-    ``MASK_RTOL * M``, e.g. already selected) score -inf.
+    The numerator is the residual of the operand X, scored in objective
+    ``form``; ratio forms also get the complement projector, whose
+    degenerate candidates (projected steering norm below ``MASK_RTOL * M``,
+    e.g. already selected) score -inf.
     """
-    pc = state.Pc if variant.startswith("ols") else None
-    return objective_values(state.residual(X), grid, variant, evaluator, pc=pc)
+    pc = state.Pc if form in RATIO_FORMS else None
+    return objective_values(state.residual(X), grid, form, evaluator, pc=pc)
 
 
 def greedy_update(state: GreedyState, new_angle: float) -> GreedyState:
@@ -116,36 +114,9 @@ def greedy_step(
     state: GreedyState,
     X: np.ndarray,
     grid: DoaGrid,
-    variant: str,
+    form: str,
     evaluator: str = "fft",
 ) -> GreedyState:
     """One iteration: select the grid angle with the best score."""
-    values = greedy_objective(state, X, grid, variant, evaluator)
+    values = greedy_objective(state, X, grid, form, evaluator)
     return greedy_update(state, grid.angles[int(np.argmax(values))])
-
-
-def greedy_estimate(
-    sqrt_R: np.ndarray,
-    K: int,
-    grid: DoaGrid,
-    method: str = "omp",
-    evaluator: str = "fft",
-) -> np.ndarray:
-    """Run K OMP or OLS iterations and return the selected angles in order.
-
-    Args:
-        sqrt_R: M x M covariance square root, the operand of both methods.
-        K: Number of angles to select, 1 <= K < M.
-        grid: Search grid.
-        method: "omp" or "ols".
-        evaluator: "fft" or "direct".
-    """
-    if method not in GREEDY_METHODS:
-        raise ValueError(f"unknown greedy method: {method!r}")
-    M = sqrt_R.shape[0]
-    if not 1 <= K < M:
-        raise ValueError(f"K must satisfy 1 <= K < M, got K={K}, M={M}")
-    state = initial_state(M, grid.phase_factor)
-    for _ in range(K):
-        state = greedy_step(state, sqrt_R, grid, method, evaluator)
-    return np.array(state.selected)

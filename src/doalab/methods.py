@@ -1,23 +1,102 @@
-"""Closed registry of benchmarkable estimator ids.
+"""The method table: every estimator id, and the one path that runs them all.
 
-Every method consumes the same sample covariance and search grid and returns
-normalized-angle estimates, so the harness can time and score them
-interchangeably.  Each estimate call is self-contained: whatever
-decomposition or square root a method needs is computed inside the call and
-therefore inside its timing window.
+Each estimator is one row of three choices:
+
+* its operand, from the one eigendecomposition of the sample covariance
+  (:func:`doalab.subspace.partition`): the signal eigenvectors S, the noise
+  eigenvectors G, either scaled by the square roots of its eigenvalues, or
+  the covariance square root;
+* its objective form (:func:`doalab.fastgrid.objective_values`);
+* spectral or greedy: score the grid once and report the K largest peaks, or
+  run K iterations of the engine in :mod:`doalab.greedy`.
+
+The square root factors exactly into the scaled signal and noise subspaces,
+so the greedy rows are one family: the OMP objective is the sum of the
+weighted signal and noise residual objectives, and the signal and noise
+ratio forms select identical candidates.  The iterative-MUSIC rows swap the
+M-column square root for a narrower subspace operand, with no per-iteration
+eigendecomposition.
+
+The decomposition is computed inside each estimate call and therefore inside
+its timing window.
 """
 
 from __future__ import annotations
 
+from operator import attrgetter, methodcaller
+from typing import Callable, NamedTuple
+
 import numpy as np
 
-from doalab.fastgrid import DoaGrid
-from doalab.gimusic import GIMUSIC_METHODS, gimusic_estimate
-from doalab.greedy import GREEDY_METHODS, greedy_estimate
-from doalab.linalg import covariance_sqrt, hermitian_evd
-from doalab.subspace import MUSIC_VARIANTS, music_estimate
+from doalab.fastgrid import DoaGrid, Pseudospectrum, objective_values
+from doalab.greedy import greedy_step, initial_state
+from doalab.linalg import hermitian_evd
+from doalab.subspace import SubspaceDecomposition, partition, select_peak_indices
 
-METHOD_IDS = MUSIC_VARIANTS + GREEDY_METHODS + GIMUSIC_METHODS
+
+class Method(NamedTuple):
+    """One row of the method table.
+
+    Attributes:
+        operand: The decomposition's matrix the objective is scored on.
+        form: Objective form, one of ``fastgrid.FORMS``.
+        greedy: Select one angle per iteration (True) or the K largest
+            peaks of one spectrum (False).
+    """
+
+    operand: Callable[[SubspaceDecomposition], np.ndarray]
+    form: str
+    greedy: bool
+
+
+_signal, _noise, _sqrt_R = attrgetter("S"), attrgetter("G"), attrgetter("sqrt_R")
+_weighted_signal = methodcaller("weighted_signal")
+_weighted_noise = methodcaller("weighted_noise")
+
+# id -> (operand, objective form, greedy)
+METHODS = {
+    "music-signal": Method(_signal, "norm", False),
+    "music-noise": Method(_noise, "reciprocal", False),
+    "wmusic-signal": Method(_weighted_signal, "norm", False),
+    "wmusic-noise": Method(_weighted_noise, "reciprocal", False),
+    "omp": Method(_sqrt_R, "norm", True),
+    "ols": Method(_sqrt_R, "ratio", True),
+    "omp-imusic": Method(_signal, "norm", True),
+    "ols-imusic": Method(_signal, "ratio", True),
+    "omp-iwmusic": Method(_weighted_signal, "norm", True),
+    "ols-iwmusic": Method(_weighted_signal, "ratio", True),
+}
+METHOD_IDS = tuple(METHODS)
+
+# ols-imusic when K > M-K: ``1 - ||residual(G)^H a||^2 / ||Pc a||^2`` has the
+# signal form's argmax (the two residual energies partition ||Pc a||^2) and
+# the narrower operand.
+_OLS_IMUSIC_NOISE = Method(_noise, "complement-ratio", True)
+
+
+def pseudospectrum(
+    dec: SubspaceDecomposition,
+    grid: DoaGrid,
+    variant: str = "music-signal",
+    evaluator: str = "fft",
+) -> Pseudospectrum:
+    """Evaluate a spectral method's objective over the grid.
+
+    Signal forms score ``||S^H a(u)||^2`` (weighted: S scaled by
+    sqrt(lambda_s)); noise forms score the reciprocal of the same norm taken
+    against G (weighted: G scaled by sqrt(lambda_n)), divided by the
+    operand's largest squared column norm, with denominators below 1e-15*M
+    saturated to 1e15 so exact noiseless nulls keep argmax semantics instead
+    of overflowing.
+
+    Raises:
+        ValueError: If ``variant`` is not a spectral method id.
+    """
+    row = METHODS.get(variant)
+    if row is None or row.greedy:
+        raise ValueError(f"unknown pseudospectrum variant: {variant!r}")
+    values = objective_values(row.operand(dec), grid, row.form, evaluator)
+    return Pseudospectrum(values=values, grid=grid)
 
 
 def estimate_method(
@@ -26,28 +105,48 @@ def estimate_method(
     K: int,
     grid: DoaGrid,
     evaluator: str = "fft",
+    emulate_evd_per_iter: bool = False,
 ) -> np.ndarray:
     """Run one estimator on a sample covariance.
 
     Args:
         method: One of METHOD_IDS.
         R: M x M sample covariance.
-        K: Number of angles to estimate; 0 returns an empty array (a method
-            cannot run without a model order).
+        K: Number of angles to estimate, K < M; 0 returns an empty array (a
+            method cannot run without a model order).
         grid: Search grid.
         evaluator: "fft" or "direct".
+        emulate_evd_per_iter: Greedy methods only.  Reproduces the cost
+            profile of iterative-MUSIC schemes that re-decompose the
+            residual covariance every iteration: each iteration past the
+            first runs one extra eigendecomposition whose result is
+            discarded, so selections are unchanged while the
+            eigendecomposition count becomes K instead of 1.
 
     Returns:
         Estimated normalized angles (selection order for greedy methods,
         descending peak value for spectral ones).
+
+    Raises:
+        ValueError: On an unknown method id, K outside 0 <= K < M, or
+            ``emulate_evd_per_iter`` with a spectral method.
     """
-    if method not in METHOD_IDS:
+    if method not in METHODS:
         raise ValueError(f"unknown method id: {method!r}")
+    M = R.shape[0]
+    row = _OLS_IMUSIC_NOISE if method == "ols-imusic" and K > M - K else METHODS[method]
+    if emulate_evd_per_iter and not row.greedy:
+        raise ValueError(f"emulate_evd_per_iter needs a greedy method, got {method!r}")
     if K == 0:
         return np.empty(0, dtype=float)
-    if method in MUSIC_VARIANTS:
-        return music_estimate(R, K, grid, variant=method, evaluator=evaluator)
-    if method in GREEDY_METHODS:
-        sqrt_R = covariance_sqrt(hermitian_evd(R))
-        return greedy_estimate(sqrt_R, K, grid, method=method, evaluator=evaluator)
-    return gimusic_estimate(R, K, grid, method=method, evaluator=evaluator)
+    X = row.operand(partition(R, K))  # the one and only EVD
+    if not row.greedy:
+        values = objective_values(X, grid, row.form, evaluator)
+        return grid.angles[select_peak_indices(values, K)]
+    state = initial_state(M, grid.phase_factor)
+    for it in range(K):
+        if emulate_evd_per_iter and it > 0:
+            residual_cov = state.Pc @ R @ state.Pc
+            hermitian_evd(0.5 * (residual_cov + residual_cov.conj().T))
+        state = greedy_step(state, X, grid, row.form, evaluator)
+    return np.array(state.selected)

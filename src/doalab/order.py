@@ -2,8 +2,8 @@
 
 Two routes: the classic eigenvalue-ratio AIC over the covariance spectrum,
 and a hybrid scheme that trusts the eigenvalue estimate as a floor, then
-keeps extending a greedy OLS-family estimate while a penalized residual
-criterion keeps improving.  The stopping rule is pluggable so an alternative
+keeps extending a greedy OLS estimate while a penalized residual criterion
+keeps improving.  The stopping rule is pluggable so an alternative
 criterion is a one-line swap.
 """
 
@@ -16,9 +16,7 @@ from typing import Callable
 import numpy as np
 
 from doalab.fastgrid import DoaGrid
-from doalab.gimusic import GIMUSIC_VARIANTS, variant_operand
 from doalab.greedy import greedy_step, initial_state
-from doalab.subspace import SubspaceDecomposition
 
 # Geometric-mean zero floor: keeps log of exact-zero eigenvalues finite.
 _EIG_FLOOR = 1e-300
@@ -86,41 +84,41 @@ def penalized_residual_criterion(k: int, eps_k: float, M: int, snapshots: int) -
 
     A log-residual-energy data term plus a parameter-count penalty:
     ``2 L M ln(eps_k) + 2 k (2M - k + 1)``.  The data term is non-increasing
-    in k (projections nest), so stopping is driven by the penalty.
+    in k (projections nest) and grows with L, the penalty does not: the
+    step from k to k+1 lowers the score unless it shrinks the residual
+    energy by a factor under ``exp(2 (M - k) / (L M))``, 0.1% at L = 1024,
+    M = 16, k = 8.  A pick that takes one of the M-k noise dimensions out of
+    a noise-only residual removes about ``1/(M - k)`` of it, so at such
+    snapshot counts the hybrid search runs on to ``max_k``.
     """
     return 2.0 * snapshots * M * math.log(eps_k) + 2.0 * k * (2 * M - k + 1)
 
 
 def hybrid_order(
-    decomposition: SubspaceDecomposition | None,
     sqrt_R: np.ndarray,
     grid: DoaGrid,
     max_k: int,
     base: OrderEstimate,
-    ols_variant: str = "ols",
+    snapshots: int,
     evaluator: str = "fft",
-    snapshots: int | None = None,
     criterion: Callable[[int, float, int, int], float] = penalized_residual_criterion,
 ) -> OrderEstimate:
-    """Extend an eigenvalue-based order estimate with greedy refits.
+    """Extend an eigenvalue-based order estimate with greedy OLS refits.
 
-    Runs an OLS-family greedy estimator.  The first ``base.k_hat`` angles
-    are added unconditionally (the eigenvalue estimate is trusted as a
-    floor); each further angle is kept only while the stopping criterion
-    decreases.  The result therefore never falls below ``base.k_hat``.
+    Runs the greedy engine in the ratio form on the covariance square root
+    (OLS).  The first ``base.k_hat`` angles are added unconditionally (the
+    eigenvalue estimate is trusted as a floor); each further angle is kept
+    only while the stopping criterion decreases.  The result therefore never
+    falls below ``base.k_hat``.
 
     Args:
-        decomposition: Subspace decomposition; required for the
-            iterative-MUSIC variants, ignored for plain "ols".
-        sqrt_R: Covariance square root (drives plain OLS and the residual
-            energy computation).
+        sqrt_R: Covariance square root: the OLS operand and the source of
+            the residual energy the criterion scores.
         grid: Search grid.
         max_k: Largest order to consider; base.k_hat <= max_k < M.
         base: The eigenvalue-based OrderEstimate to extend.
-        ols_variant: "ols", "ols-imusic-signal", "ols-imusic-noise", or
-            "ols-iwmusic".
+        snapshots: Snapshot count for the criterion.
         evaluator: "fft" or "direct".
-        snapshots: Snapshot count for the criterion (required).
         criterion: Stopping rule mapping (k, eps_k, M, snapshots) to a
             score; lower is better.
 
@@ -129,21 +127,10 @@ def hybrid_order(
         orders the search never evaluated.
     """
     M = sqrt_R.shape[0]
-    if snapshots is None:
-        raise ValueError("snapshots is required")
     if not base.k_hat <= max_k < M:
         raise ValueError(f"need base.k_hat <= max_k < M, got {base.k_hat}, {max_k}, {M}")
 
     trace_R = float(np.sum(sqrt_R.real**2 + sqrt_R.imag**2))
-
-    if ols_variant == "ols":
-        X = sqrt_R
-    elif ols_variant in GIMUSIC_VARIANTS and ols_variant.startswith("ols"):
-        if decomposition is None:
-            raise ValueError(f"variant {ols_variant!r} needs a decomposition")
-        X = variant_operand(decomposition, ols_variant)
-    else:
-        raise ValueError(f"not an OLS-family variant: {ols_variant!r}")
 
     def criterion_at(k, state):
         res = state.residual(sqrt_R)
@@ -153,11 +140,11 @@ def hybrid_order(
     state = initial_state(M, grid.phase_factor)
     curve = np.full(M, np.nan)
     for _ in range(base.k_hat):
-        state = greedy_step(state, X, grid, ols_variant, evaluator)
+        state = greedy_step(state, sqrt_R, grid, "ratio", evaluator)
     k = base.k_hat
     curve[k] = criterion_at(k, state)
     while k < max_k:
-        candidate = greedy_step(state, X, grid, ols_variant, evaluator)
+        candidate = greedy_step(state, sqrt_R, grid, "ratio", evaluator)
         curve[k + 1] = criterion_at(k + 1, candidate)
         if not curve[k + 1] < curve[k]:
             break

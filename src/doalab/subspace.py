@@ -1,8 +1,8 @@
-"""Sample covariance, signal/noise subspaces, and MUSIC-family estimators.
+"""Sample covariance, its signal/noise split, and spectral peak picking.
 
-Four pseudospectrum variants share one machinery: the classic noise-form
-MUSIC ``1/||G^H a||^2``, its signal-form twin ``||S^H a||^2`` (same peaks,
-cheaper when K < M-K), and the eigenvalue-weighted versions of both.
+:func:`partition` is the one eigendecomposition behind every estimator in
+:mod:`doalab.methods`; its :class:`SubspaceDecomposition` holds each operand
+a method can score.
 """
 
 from __future__ import annotations
@@ -11,10 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from doalab.fastgrid import DoaGrid, Pseudospectrum, objective_values
 from doalab.linalg import covariance_sqrt, hermitian_evd
-
-MUSIC_VARIANTS = ("music-signal", "music-noise", "wmusic-signal", "wmusic-noise")
 
 
 @dataclass(frozen=True)
@@ -90,33 +87,6 @@ def partition(R: np.ndarray, K: int) -> SubspaceDecomposition:
     )
 
 
-def pseudospectrum(
-    dec: SubspaceDecomposition,
-    grid: DoaGrid,
-    variant: str = "music-signal",
-    evaluator: str = "fft",
-) -> Pseudospectrum:
-    """Evaluate one MUSIC-family pseudospectrum over the grid.
-
-    Signal forms score ``||S^H a(u)||^2`` (weighted: S scaled by
-    sqrt(lambda_s)); noise forms score the reciprocal of the same norm taken
-    against G (weighted: G scaled by sqrt(lambda_n)), divided by the
-    operand's largest squared column norm, with denominators below 1e-15*M
-    saturated to 1e15 so exact noiseless nulls keep argmax semantics instead
-    of overflowing.
-    """
-    if variant not in MUSIC_VARIANTS:
-        raise ValueError(f"unknown pseudospectrum variant: {variant!r}")
-    operand = {
-        "music-signal": lambda: dec.S,
-        "music-noise": lambda: dec.G,
-        "wmusic-signal": dec.weighted_signal,
-        "wmusic-noise": dec.weighted_noise,
-    }[variant]()
-    values = objective_values(operand, grid, variant, evaluator)
-    return Pseudospectrum(values=values, grid=grid)
-
-
 def select_peak_indices(values: np.ndarray, K: int) -> np.ndarray:
     """Indices of the K largest strict local maxima of a grid function.
 
@@ -145,41 +115,3 @@ def select_peak_indices(values: np.ndarray, K: int) -> np.ndarray:
         fill = rest[np.argsort(-v[rest], kind="stable")][: K - chosen.size]
         chosen = np.concatenate([chosen, fill])
     return chosen[np.lexsort((chosen, -v[chosen]))]
-
-
-def select_peaks(ps: Pseudospectrum, K: int) -> np.ndarray:
-    """Grid angles of the K largest pseudospectrum peaks."""
-    return ps.grid.angles[select_peak_indices(ps.values, K)]
-
-
-def default_music_variant(K: int, M: int, weighted: bool = False) -> str:
-    """Cheaper-subspace default: signal form when K <= M-K, else noise."""
-    family = "wmusic" if weighted else "music"
-    return f"{family}-signal" if K <= M - K else f"{family}-noise"
-
-
-def music_estimate(
-    R: np.ndarray,
-    K: int,
-    grid: DoaGrid,
-    variant: str = "auto",
-    evaluator: str = "fft",
-) -> np.ndarray:
-    """MUSIC/WMUSIC point estimates of K normalized angles.
-
-    Args:
-        R: M x M sample covariance.
-        K: Number of angles to report (also the signal subspace dimension).
-        grid: Search grid.
-        variant: Pseudospectrum variant, or "auto" to pick the cheaper of
-            the two unweighted forms.
-        evaluator: "fft" or "direct".
-
-    Returns:
-        K grid angles ordered by descending peak value.
-    """
-    if variant == "auto":
-        variant = default_music_variant(K, R.shape[0])
-    dec = partition(R, K)
-    ps = pseudospectrum(dec, grid, variant, evaluator)
-    return select_peaks(ps, K)

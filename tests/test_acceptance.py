@@ -27,7 +27,6 @@ import pytest
 
 from doalab.bench import run_trial
 from doalab.fastgrid import MASK_RTOL, make_grid, objective_values
-from doalab.gimusic import GIMUSIC_METHODS, gimusic_estimate
 from doalab.greedy import greedy_objective, greedy_update, initial_state
 from doalab.linalg import covariance_sqrt, evd_call_count, hermitian_evd, projectors
 from doalab.methods import METHOD_IDS, estimate_method
@@ -40,12 +39,29 @@ from doalab.scenario import (
     synthesize_observation,
     trial_rng,
 )
-from doalab.subspace import music_estimate, partition, sample_covariance
+from doalab.subspace import partition, sample_covariance
 
 # Methods compared in the 500-trial detection/precision sweep.  The classic
 # MUSIC baseline is the noise-form variant; the signal form shares its peak
 # set (asserted separately below), so the choice does not affect any metric.
 SWEEP_METHODS = ("music-noise", "omp", "ols", "omp-imusic", "ols-imusic")
+# The greedy iterative-MUSIC methods: one eigendecomposition per estimate.
+GIMUSIC_METHODS = ("omp-imusic", "ols-imusic", "omp-iwmusic", "ols-iwmusic")
+# Objective form of each criterion-5 case; "ols-imusic-signal" and
+# "ols-imusic-noise" are ols-imusic's forms at K <= M-K and K > M-K.
+CASE_FORMS = {
+    "music-signal": "norm",
+    "music-noise": "reciprocal",
+    "wmusic-signal": "norm",
+    "wmusic-noise": "reciprocal",
+    "omp": "norm",
+    "ols": "ratio",
+    "omp-imusic": "norm",
+    "ols-imusic-signal": "ratio",
+    "ols-imusic-noise": "complement-ratio",
+    "omp-iwmusic": "norm",
+    "ols-iwmusic": "ratio",
+}
 
 
 def _report(number: int, detail: str) -> None:
@@ -162,7 +178,7 @@ def test_criterion_02_ols_fast_form_matches_naive_refit():
         sqrt_R = covariance_sqrt(hermitian_evd(R))
         state = initial_state(M)
         for _ in range(K):
-            fast = greedy_objective(state, sqrt_R, grid, "ols", "fft")
+            fast = greedy_objective(state, sqrt_R, grid, "ratio", "fft")
             slow = _naive_ols_scores(state, sqrt_R, grid)
             pick = int(np.argmax(fast))
             assert pick == int(np.argmax(slow))
@@ -175,11 +191,11 @@ def test_criterion_02_ols_fast_form_matches_naive_refit():
     sqrt_R2 = covariance_sqrt(hermitian_evd(R2))
     state2 = initial_state(M2)
     for _ in range(2):
-        ps = greedy_objective(state2, sqrt_R2, grid2, "ols", "fft")
+        ps = greedy_objective(state2, sqrt_R2, grid2, "ratio", "fft")
         state2 = greedy_update(state2, grid2.angles[int(np.argmax(ps))])
     meds = _interleaved_medians(
         {
-            "fast": lambda: greedy_objective(state2, sqrt_R2, grid2, "ols", "fft"),
+            "fast": lambda: greedy_objective(state2, sqrt_R2, grid2, "ratio", "fft"),
             "slow": lambda: _naive_ols_scores(state2, sqrt_R2, grid2),
         },
         repeats=3,
@@ -205,7 +221,7 @@ def test_criterion_03_residual_correlation_equals_weighted_subspace_sum():
         sqrt_R = covariance_sqrt(evd)
         state = initial_state(M)
         for _ in range(K):
-            omp_vals = greedy_objective(state, sqrt_R, grid, "omp", "direct")
+            omp_vals = greedy_objective(state, sqrt_R, grid, "norm", "direct")
             proj = (state.Pc @ evd.eigenvectors).conj().T @ grid.steering
             subspace_sum = evd.eigenvalues @ (proj.real**2 + proj.imag**2)
             scale = float(omp_vals.max())
@@ -235,8 +251,8 @@ def test_criterion_04_residual_ratio_signal_and_noise_forms_agree():
             pick = float(grid.angles[int(rng.integers(0, N))])
             if pick not in state.selected:
                 state = greedy_update(state, pick)
-        sig = greedy_objective(state, dec.S, grid, "ols-imusic-signal")
-        noi = greedy_objective(state, dec.G, grid, "ols-imusic-noise")
+        sig = greedy_objective(state, dec.S, grid, "ratio")
+        noi = greedy_objective(state, dec.G, grid, "complement-ratio")
         assert int(np.argmax(sig)) == int(np.argmax(noi))
         np.testing.assert_array_equal(np.isneginf(sig), np.isneginf(noi))
     _report(4, "identical selections on 100 random states (masks identical too)")
@@ -263,11 +279,11 @@ def test_criterion_05_fft_evaluator_matches_direct_and_is_faster():
     sqrt_R = covariance_sqrt(evd)
     gstate = initial_state(M)
     for _ in range(3):
-        vals = greedy_objective(gstate, sqrt_R, grid, "ols", "fft")
+        vals = greedy_objective(gstate, sqrt_R, grid, "ratio", "fft")
         gstate = greedy_update(gstate, grid.angles[int(np.argmax(vals))])
     istate = initial_state(M)
     for _ in range(3):
-        vals = greedy_objective(istate, dec.S, grid, "ols-imusic-signal")
+        vals = greedy_objective(istate, dec.S, grid, "ratio")
         istate = greedy_update(istate, grid.angles[int(np.argmax(vals))])
     weighted_res = istate.residual(dec.weighted_signal())
 
@@ -286,8 +302,8 @@ def test_criterion_05_fft_evaluator_matches_direct_and_is_faster():
     }
     worst = 0.0
     for variant, (num, pc) in cases.items():
-        vf = objective_values(num, grid, variant, "fft", pc=pc)
-        vd = objective_values(num, grid, variant, "direct", pc=pc)
+        vf = objective_values(num, grid, CASE_FORMS[variant], "fft", pc=pc)
+        vd = objective_values(num, grid, CASE_FORMS[variant], "direct", pc=pc)
         finite = np.isfinite(vd)
         np.testing.assert_array_equal(np.isfinite(vf), finite)
         scale = float(np.max(np.abs(vd[finite])))
@@ -300,7 +316,7 @@ def test_criterion_05_fft_evaluator_matches_direct_and_is_faster():
 
     def sweep_all(evaluator):
         for variant, (num, pc) in cases.items():
-            objective_values(num, grid, variant, evaluator, pc=pc)
+            objective_values(num, grid, CASE_FORMS[variant], evaluator, pc=pc)
 
     meds = _interleaved_medians(
         {"fft": lambda: sweep_all("fft"), "direct": lambda: sweep_all("direct")},
@@ -327,8 +343,8 @@ def test_criterion_06_pseudospectrum_forms_share_peaks():
     for _ in range(100):
         R = sample_covariance(_random_observation(rng, M, L))
         K = int(rng.integers(1, 6))
-        sig = music_estimate(R, K, grid, "music-signal")
-        noi = music_estimate(R, K, grid, "music-noise")
+        sig = estimate_method("music-signal", R, K, grid)
+        noi = estimate_method("music-noise", R, K, grid)
         np.testing.assert_array_equal(np.sort(sig), np.sort(noi))
     _report(6, "identical peak sets on 100 random decompositions")
 
@@ -351,10 +367,10 @@ def test_criterion_07_single_eigendecomposition_per_estimate():
         R = sample_covariance(synthesize_observation(truth, cfg, rng).Y)
         for method in GIMUSIC_METHODS:
             before = evd_call_count()
-            single = gimusic_estimate(R, K, grid, method)
+            single = estimate_method(method, R, K, grid)
             assert evd_call_count() - before == 1
             before = evd_call_count()
-            emulated = gimusic_estimate(R, K, grid, method, emulate_evd_per_iter=True)
+            emulated = estimate_method(method, R, K, grid, emulate_evd_per_iter=True)
             assert evd_call_count() - before == K
             np.testing.assert_array_equal(single, emulated)
 
@@ -362,15 +378,15 @@ def test_criterion_07_single_eigendecomposition_per_estimate():
     rng = trial_rng(cfg.seed, 0)
     truth = draw_targets(cfg, rng)
     R = sample_covariance(synthesize_observation(truth, cfg, rng).Y)
-    gimusic_estimate(R, 12, grid, "ols-imusic")
-    gimusic_estimate(R, 12, grid, "ols-imusic", emulate_evd_per_iter=True)
+    estimate_method("ols-imusic", R, 12, grid)
+    estimate_method("ols-imusic", R, 12, grid, emulate_evd_per_iter=True)
     t_single, t_emulated = [], []
     for _ in range(40):
         t0 = perf_counter()
-        gimusic_estimate(R, 12, grid, "ols-imusic")
+        estimate_method("ols-imusic", R, 12, grid)
         t_single.append(perf_counter() - t0)
         t0 = perf_counter()
-        gimusic_estimate(R, 12, grid, "ols-imusic", emulate_evd_per_iter=True)
+        estimate_method("ols-imusic", R, 12, grid, emulate_evd_per_iter=True)
         t_emulated.append(perf_counter() - t0)
     mean_single, mean_emulated = float(np.mean(t_single)), float(np.mean(t_emulated))
     assert mean_emulated > mean_single

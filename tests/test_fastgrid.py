@@ -204,11 +204,7 @@ def test_norm_form_passthrough():
     grid = make_grid(64, 8)
     A = random_complex(rng, 8, 3)
     np.testing.assert_array_equal(
-        objective_values(A, grid, "omp"), colnorms_sq_fft(A, grid)
-    )
-    np.testing.assert_array_equal(
-        objective_values(A, grid, "music-signal"),
-        colnorms_sq_fft(A, grid),
+        objective_values(A, grid, "norm"), colnorms_sq_fft(A, grid)
     )
 
 
@@ -222,7 +218,7 @@ def test_reciprocal_form_saturates_vanishing_denominator():
     _, Pc = linalg.projectors(a.reshape(M, 1))
     evd = linalg.hermitian_evd(Pc)
     G = evd.eigenvectors[:, : M - 1]  # orthonormal basis of a's complement
-    vals = objective_values(G, grid, "music-noise")
+    vals = objective_values(G, grid, "reciprocal")
     assert vals[p0] == SAT_VALUE
     assert np.argmax(vals) == p0
     finite = np.delete(vals, p0)
@@ -243,8 +239,8 @@ def test_reciprocal_form_saturation_is_scale_invariant(scale):
     _, Pc = linalg.projectors(a.reshape(M, 1))
     evd = linalg.hermitian_evd(Pc)
     G = scale * evd.eigenvectors[:, : M - 1]
-    fast = objective_values(G, grid, "music-noise")
-    slow = objective_values(G, grid, "music-noise", "direct")
+    fast = objective_values(G, grid, "reciprocal")
+    slow = objective_values(G, grid, "reciprocal", "direct")
     np.testing.assert_array_equal(fast == SAT_VALUE, slow == SAT_VALUE)
     assert fast[p0] == SAT_VALUE
     ok = fast != SAT_VALUE
@@ -259,7 +255,7 @@ def test_ratio_form_masks_selected_angles():
     _, Pc = linalg.projectors(a_sel)
     rng = np.random.default_rng(4)
     num = Pc @ random_complex(rng, M, 3)
-    vals = objective_values(num, grid, "ols", pc=Pc)
+    vals = objective_values(num, grid, "ratio", pc=Pc)
     assert vals[p_sel] == -np.inf
     unmasked = vals[np.isfinite(vals)]
     assert unmasked.size > 0 and np.all(unmasked >= 0)
@@ -278,8 +274,8 @@ def test_complement_ratio_form():
     a_sel = steering_vector(grid.angles[p_sel], M).reshape(M, 1)
     _, Pc = linalg.projectors(a_sel)
     num = Pc @ random_complex(rng, M, 2)
-    plain = objective_values(num, grid, "ols-imusic-signal", pc=Pc)
-    comp = objective_values(num, grid, "ols-imusic-noise", pc=Pc)
+    plain = objective_values(num, grid, "ratio", pc=Pc)
+    comp = objective_values(num, grid, "complement-ratio", pc=Pc)
     mask = np.isfinite(plain)
     # complement-ratio = 1 - num_norms/denom for SOME numerator; here just
     # verify the algebraic relation between the two forms' shared pieces.
@@ -293,5 +289,12 @@ def test_ratio_form_requires_projector():
     grid = make_grid(32, 4)
     A = random_complex(np.random.default_rng(0), 4, 2)
     with pytest.raises(ValueError, match="projector"):
+        objective_values(A, grid, "ratio")
+
+
+def test_unknown_form_rejected():
+    grid = make_grid(32, 4)
+    A = random_complex(np.random.default_rng(0), 4, 2)
+    with pytest.raises(ValueError, match="unknown objective form"):
         objective_values(A, grid, "ols")
 

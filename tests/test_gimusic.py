@@ -5,16 +5,11 @@ import math
 import numpy as np
 import pytest
 
-from doalab import linalg
-from doalab.fastgrid import colnorms_sq, make_grid, objective_values
-from doalab.gimusic import (
-    GIMUSIC_METHODS,
-    gimusic_estimate,
-    resolve_variant,
-    variant_operand,
-)
+from doalab import greedy, linalg
+from doalab.fastgrid import colnorms_sq, make_grid
 from doalab.greedy import greedy_objective, greedy_step, greedy_update, initial_state
 from doalab.linalg import projectors
+from doalab.methods import METHODS, estimate_method, pseudospectrum
 from doalab.scenario import (
     GroundTruth,
     ScenarioConfig,
@@ -24,7 +19,9 @@ from doalab.scenario import (
     synthesize_observation,
     trial_rng,
 )
-from doalab.subspace import partition, pseudospectrum, sample_covariance
+from doalab.subspace import partition, sample_covariance
+
+GIMUSIC_METHODS = ("omp-imusic", "ols-imusic", "omp-iwmusic", "ols-iwmusic")
 
 
 def scenario_dec(seed, M=8, K=3, snr_db=30.0, N=256):
@@ -44,9 +41,9 @@ def scenario_dec(seed, M=8, K=3, snr_db=30.0, N=256):
     return R, partition(R, K), make_grid(N, M), truth
 
 
-def advance(state, dec, grid, variant, steps):
+def advance(state, X, grid, form, steps):
     for _ in range(steps):
-        state = greedy_step(state, variant_operand(dec, variant), grid, variant)
+        state = greedy_step(state, X, grid, form)
     return state
 
 
@@ -57,7 +54,7 @@ def test_initial_objective_is_signal_pseudospectrum():
     # Before any selection the unweighted residual objective and the
     # signal-form pseudospectrum are the same function.
     _, dec, grid, _ = scenario_dec(seed=0)
-    obj = greedy_objective(initial_state(dec.M), dec.S, grid, "omp-imusic")
+    obj = greedy_objective(initial_state(dec.M), dec.S, grid, "norm")
     music = pseudospectrum(dec, grid, "music-signal").values
     np.testing.assert_allclose(obj, music, atol=1e-12 * dec.M)
 
@@ -76,7 +73,7 @@ def test_energy_split_identity(seed):
         np.testing.assert_allclose(
             sig + noi, omp_energy, rtol=0, atol=1e-9 * omp_energy.max()
         )
-        state = advance(state, dec, grid, "ols-imusic-signal", 1)
+        state = advance(state, dec.S, grid, "ratio", 1)
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -86,9 +83,9 @@ def test_signal_and_noise_ratio_forms_pick_same_candidate(seed):
     rng = np.random.default_rng(seed)
     R, dec, grid, _ = scenario_dec(seed=seed, M=10, K=4)
     steps = int(rng.integers(0, 3))
-    state = advance(initial_state(dec.M), dec, grid, "ols-imusic-signal", steps)
-    sig = greedy_objective(state, dec.S, grid, "ols-imusic-signal")
-    noi = greedy_objective(state, dec.G, grid, "ols-imusic-noise")
+    state = advance(initial_state(dec.M), dec.S, grid, "ratio", steps)
+    sig = greedy_objective(state, dec.S, grid, "ratio")
+    noi = greedy_objective(state, dec.G, grid, "complement-ratio")
     assert int(np.argmax(sig)) == int(np.argmax(noi))
     # And the forms are complementary where defined: the residual signal and
     # noise energies partition ||Pc a||^2, so sig + (1 - noi) = 1.
@@ -101,9 +98,9 @@ def test_dropping_noise_term_bounded_by_largest_noise_eigenvalue(seed):
     # |OMP energy - weighted residual signal energy| <= lambda_n_max *
     # ||Pc a||^2 pointwise: the dropped term is the weighted noise energy.
     R, dec, grid, _ = scenario_dec(seed=seed, M=12, K=3)
-    state = advance(initial_state(dec.M), dec, grid, "ols-imusic-signal", 1)
+    state = advance(initial_state(dec.M), dec.S, grid, "ratio", 1)
     omp_energy = colnorms_sq(state.Pc @ dec.sqrt_R, grid, "fft")
-    weighted = greedy_objective(state, dec.weighted_signal(), grid, "omp-iwmusic")
+    weighted = greedy_objective(state, dec.weighted_signal(), grid, "norm")
     bound = dec.lambda_n.max() * colnorms_sq(state.Pc, grid, "fft")
     slack = 1e-9 * omp_energy.max()
     assert np.all(np.abs(omp_energy - weighted) <= bound + slack)
@@ -111,7 +108,7 @@ def test_dropping_noise_term_bounded_by_largest_noise_eigenvalue(seed):
 
 def test_residuals_reproject_original_subspaces():
     _, dec, grid, _ = scenario_dec(seed=7)
-    state = advance(initial_state(dec.M), dec, grid, "ols-imusic-signal", 2)
+    state = advance(initial_state(dec.M), dec.S, grid, "ratio", 2)
     _, Pc = projectors(steering_matrix(state.selected, dec.M))
     Sres = state.residual(dec.S)
     np.testing.assert_allclose(Sres, Pc @ dec.S, atol=1e-12)
@@ -123,16 +120,15 @@ def test_residuals_reproject_original_subspaces():
 
 
 def test_variant_operand_selects_subspace():
+    # The method table's operands: imusic rows score S, iwmusic rows S
+    # scaled by sqrt(lambda_s).
     _, dec, _, _ = scenario_dec(seed=8)
-    assert variant_operand(dec, "ols-imusic-noise") is dec.G
-    for variant in ("omp-imusic", "ols-imusic-signal"):
-        assert variant_operand(dec, variant) is dec.S
-    for variant in ("omp-iwmusic", "ols-iwmusic"):
+    for method in ("omp-imusic", "ols-imusic"):
+        assert METHODS[method].operand(dec) is dec.S
+    for method in ("omp-iwmusic", "ols-iwmusic"):
         np.testing.assert_array_equal(
-            variant_operand(dec, variant), dec.weighted_signal()
+            METHODS[method].operand(dec), dec.weighted_signal()
         )
-    with pytest.raises(ValueError, match="variant"):
-        variant_operand(dec, "ols-imusic")
 
 
 def test_duplicate_angle_rejected():
@@ -145,15 +141,30 @@ def test_duplicate_angle_rejected():
 # ---------------------------------------------------------------- dispatch
 
 
-def test_resolve_variant():
-    assert resolve_variant("ols-imusic", 3, 16) == "ols-imusic-signal"
-    assert resolve_variant("ols-imusic", 8, 16) == "ols-imusic-signal"
-    assert resolve_variant("ols-imusic", 9, 16) == "ols-imusic-noise"
-    assert resolve_variant("omp-imusic", 9, 16) == "omp-imusic"
-    assert resolve_variant("ols-iwmusic", 9, 16) == "ols-iwmusic"
-    assert resolve_variant("ols-imusic-noise", 2, 16) == "ols-imusic-noise"
+def test_resolve_variant(monkeypatch):
+    # ols-imusic scores the narrower subspace: S while K <= M-K, then G in
+    # the complement-ratio form; other ids keep their operand and form.
+    real = greedy.objective_values
+    seen = set()
+
+    def spy(num, grid, form, *args, **kwargs):
+        seen.add((num.shape[1], form))
+        return real(num, grid, form, *args, **kwargs)
+
+    monkeypatch.setattr(greedy, "objective_values", spy)
+    for method, K, width, form in (
+        ("ols-imusic", 3, 3, "ratio"),
+        ("ols-imusic", 8, 8, "ratio"),
+        ("ols-imusic", 9, 7, "complement-ratio"),
+        ("omp-imusic", 9, 9, "norm"),
+        ("ols-iwmusic", 9, 9, "ratio"),
+    ):
+        R, _, grid, _ = scenario_dec(seed=12, M=16, K=K, N=256)
+        seen.clear()
+        estimate_method(method, R, K, grid)
+        assert seen == {(width, form)}, (method, K)
     with pytest.raises(ValueError, match="method"):
-        resolve_variant("imusic", 2, 16)
+        estimate_method("imusic", R, 2, grid)
 
 
 # ---------------------------------------------------------------- estimates
@@ -163,17 +174,15 @@ def test_single_evd_per_estimate():
     R, _, grid, _ = scenario_dec(seed=10, M=16, K=4, N=256)
     for method in GIMUSIC_METHODS:
         linalg.reset_evd_calls()
-        gimusic_estimate(R, 4, grid, method)
+        estimate_method(method, R, 4, grid)
         assert linalg.evd_call_count() == 1, method
 
 
 def test_evd_emulation_counts_k_and_keeps_selection():
     R, _, grid, _ = scenario_dec(seed=11, M=16, K=5, N=256)
-    plain = gimusic_estimate(R, 5, grid, "ols-imusic")
+    plain = estimate_method("ols-imusic", R, 5, grid)
     linalg.reset_evd_calls()
-    emulated = gimusic_estimate(
-        R, 5, grid, "ols-imusic", emulate_evd_per_iter=True
-    )
+    emulated = estimate_method("ols-imusic", R, 5, grid, emulate_evd_per_iter=True)
     assert linalg.evd_call_count() == 5
     np.testing.assert_array_equal(plain, emulated)
 
@@ -181,9 +190,15 @@ def test_evd_emulation_counts_k_and_keeps_selection():
 def test_estimate_validates_k():
     R, _, grid, _ = scenario_dec(seed=13)
     with pytest.raises(ValueError, match="K must satisfy"):
-        gimusic_estimate(R, 0, grid)
+        estimate_method("ols-imusic", R, -1, grid)
     with pytest.raises(ValueError, match="K must satisfy"):
-        gimusic_estimate(R, 8, grid)
+        estimate_method("ols-imusic", R, 8, grid)
+
+
+def test_evd_emulation_needs_a_greedy_method():
+    R, _, grid, _ = scenario_dec(seed=13)
+    with pytest.raises(ValueError, match="greedy method"):
+        estimate_method("music-signal", R, 3, grid, emulate_evd_per_iter=True)
 
 
 @pytest.mark.parametrize("method", GIMUSIC_METHODS)
@@ -209,5 +224,5 @@ def test_noiseless_two_targets_exact(method):
         noise_variance=0.0,
     )
     obs = synthesize_observation(truth, cfg, trial_rng(cfg.seed, 0))
-    est = gimusic_estimate(sample_covariance(obs.Y), 2, grid, method)
+    est = estimate_method(method, sample_covariance(obs.Y), 2, grid)
     np.testing.assert_array_equal(np.sort(est), np.sort(truth.doas))

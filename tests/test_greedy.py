@@ -8,13 +8,13 @@ import pytest
 from conftest import random_complex
 from doalab.fastgrid import make_grid
 from doalab.greedy import (
-    greedy_estimate,
     greedy_objective,
     greedy_step,
     greedy_update,
     initial_state,
 )
 from doalab.linalg import covariance_sqrt, hermitian_evd, projectors
+from doalab.methods import METHODS, estimate_method
 from doalab.scenario import (
     GroundTruth,
     ScenarioConfig,
@@ -124,7 +124,7 @@ def test_correlation_objective_forms_agree(seed):
         scale = np.max(cov_form)
         np.testing.assert_allclose(obs_form, cov_form, rtol=0, atol=1e-9 * scale)
         np.testing.assert_allclose(sqrt_form, cov_form, rtol=0, atol=1e-9 * scale)
-        omp = greedy_objective(state, sqrt_R, grid, "omp")
+        omp = greedy_objective(state, sqrt_R, grid, "norm")
         np.testing.assert_allclose(omp, cov_form, rtol=0, atol=1e-9 * scale)
         state = greedy_update(state, grid.angles[int(np.argmax(omp))])
 
@@ -135,7 +135,7 @@ def test_captured_energy_is_monotone(method):
     state = initial_state(grid.M)
     captured = [0.0]
     for _ in range(5):
-        state = greedy_step(state, sqrt_R, grid, method)
+        state = greedy_step(state, sqrt_R, grid, METHODS[method].form)
         P = np.eye(grid.M) - state.Pc
         captured.append(float(np.trace(R @ P).real))
     diffs = np.diff(captured)
@@ -145,20 +145,20 @@ def test_captured_energy_is_monotone(method):
 def test_ols_masks_already_selected_candidates():
     _, _, sqrt_R, grid = scenario_sqrt(seed=5)
     state = initial_state(grid.M)
-    first = greedy_objective(state, sqrt_R, grid, "ols")
+    first = greedy_objective(state, sqrt_R, grid, "ratio")
     p0 = int(np.argmax(first))
     state = greedy_update(state, grid.angles[p0])
-    second = greedy_objective(state, sqrt_R, grid, "ols")
+    second = greedy_objective(state, sqrt_R, grid, "ratio")
     assert second[p0] == -np.inf
     assert int(np.argmax(second)) != p0
 
 
 def test_unknown_method_rejected():
-    _, _, sqrt_R, grid = scenario_sqrt(seed=6)
-    with pytest.raises(ValueError, match="greedy method"):
-        greedy_estimate(sqrt_R, 2, grid, "omps")
+    _, R, _, grid = scenario_sqrt(seed=6)
+    with pytest.raises(ValueError, match="unknown method id"):
+        estimate_method("omps", R, 2, grid)
     with pytest.raises(ValueError, match="K must satisfy"):
-        greedy_estimate(sqrt_R, 0, grid)
+        estimate_method("omp", R, -1, grid)
 
 
 # ---------------------------------------------------------------- estimates
@@ -198,8 +198,7 @@ def test_noiseless_single_target_first_iteration(method):
         seed=7,
     )
     obs, grid, truth = noiseless_obs(cfg, [133])
-    sqrt_R = covariance_sqrt(hermitian_evd(sample_covariance(obs.Y)))
-    est = greedy_estimate(sqrt_R, 1, grid, method)
+    est = estimate_method(method, sample_covariance(obs.Y), 1, grid)
     np.testing.assert_array_equal(est, truth.doas)
 
 
@@ -216,14 +215,13 @@ def test_noiseless_two_targets_exact(method):
     )
     # Orthogonal spacing (multiples of N/M = 32 grid cells apart).
     obs, grid, truth = noiseless_obs(cfg, [64, 160])
-    sqrt_R = covariance_sqrt(hermitian_evd(sample_covariance(obs.Y)))
-    est = greedy_estimate(sqrt_R, 2, grid, method)
+    est = estimate_method(method, sample_covariance(obs.Y), 2, grid)
     np.testing.assert_array_equal(np.sort(est), np.sort(truth.doas))
 
 
 def test_estimates_are_grid_angles_in_selection_order():
-    _, _, sqrt_R, grid = scenario_sqrt(seed=9, K=3)
-    est = greedy_estimate(sqrt_R, 3, grid, "ols")
+    _, R, _, grid = scenario_sqrt(seed=9, K=3)
+    est = estimate_method("ols", R, 3, grid)
     assert est.shape == (3,)
     for u in est:
         assert u in grid.angles
@@ -237,7 +235,7 @@ def test_ols_slow_projector_oracle_agrees():
     obs, R, sqrt_R, grid = scenario_sqrt(seed=10, M=8, K=3, N=128)
     state = initial_state(grid.M)
     for _ in range(3):
-        fast = greedy_objective(state, sqrt_R, grid, "ols")
+        fast = greedy_objective(state, sqrt_R, grid, "ratio")
         captured = np.full(grid.N, -np.inf)
         for p in range(grid.N):
             if not np.isfinite(fast[p]):
@@ -268,7 +266,7 @@ def test_basis_stays_orthonormal_at_k_m_minus_one(method):
     grid = make_grid(cfg.grid_points, M)
     state = initial_state(M)
     for _ in range(M - 1):
-        state = greedy_step(state, sqrt_R, grid, method, "direct")
+        state = greedy_step(state, sqrt_R, grid, METHODS[method].form, "direct")
     assert len(set(state.selected)) == M - 1
     assert np.linalg.norm(state.Q.conj().T @ state.Q - np.eye(M - 1)) <= 1e-12
     A = steering_matrix(state.selected, M)

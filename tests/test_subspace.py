@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from conftest import random_complex, random_covariance
-from doalab import subspace
 from doalab.fastgrid import SAT_VALUE, make_grid
+from doalab.methods import estimate_method, pseudospectrum
 from doalab.scenario import (
     GroundTruth,
     ScenarioConfig,
@@ -20,13 +20,9 @@ from doalab.scenario import (
 )
 from doalab.subspace import (
     SubspaceDecomposition,
-    default_music_variant,
-    music_estimate,
     partition,
-    pseudospectrum,
     sample_covariance,
     select_peak_indices,
-    select_peaks,
 )
 
 
@@ -152,8 +148,9 @@ def test_weighted_signal_with_unit_eigenvalues_is_plain_signal():
 def test_pseudospectrum_rejects_unknown_variant():
     rng = np.random.default_rng(3)
     dec, _ = random_decomposition(rng, M=6, K=2)
-    with pytest.raises(ValueError, match="variant"):
-        pseudospectrum(dec, make_grid(48, 6), "music-psycho")
+    for variant in ("music-psycho", "omp"):
+        with pytest.raises(ValueError, match="variant"):
+            pseudospectrum(dec, make_grid(48, 6), variant)
 
 
 # ---------------------------------------------------------------- peaks
@@ -215,23 +212,7 @@ def test_select_peaks_properties(values, K):
         assert idx[0] == np.argmax(values)
 
 
-def test_select_peaks_wraps_to_angles():
-    grid = make_grid(32, 4)
-    values = np.zeros(32)
-    values[10] = 1.0
-    ps = subspace.Pseudospectrum(values=values, grid=grid)
-    np.testing.assert_allclose(select_peaks(ps, 1), [grid.angles[10]])
-
-
 # ---------------------------------------------------------------- estimates
-
-
-def test_default_variant_picks_cheaper_subspace():
-    assert default_music_variant(3, 16) == "music-signal"
-    assert default_music_variant(8, 16) == "music-signal"
-    assert default_music_variant(9, 16) == "music-noise"
-    assert default_music_variant(9, 16, weighted=True) == "wmusic-noise"
-    assert default_music_variant(2, 16, weighted=True) == "wmusic-signal"
 
 
 def test_single_target_signal_vector_parallels_steering():
@@ -265,8 +246,8 @@ def test_noiseless_single_target_exact_recovery():
         noise_variance=0.0,
     )
     obs = synthesize_observation(truth, cfg, trial_rng(cfg.seed, 0))
-    for variant in ("auto", "music-signal", "music-noise"):
-        est = music_estimate(sample_covariance(obs.Y), 1, grid, variant)
+    for variant in ("music-signal", "music-noise"):
+        est = estimate_method(variant, sample_covariance(obs.Y), 1, grid)
         np.testing.assert_allclose(est, truth.doas, atol=1e-12)
 
 
