@@ -3,24 +3,26 @@
 Every estimator in the package scores candidate angles through squared
 column norms ``||A^H a(u)||^2`` evaluated over the whole grid.  For a
 half-wavelength ULA the grid steering matrix is a column permutation of a
-conjugated DFT matrix, which yields two fast evaluations:
+conjugated DFT matrix, which yields three fast evaluations:
 
 * per-column: the norms are batched zero-padded FFTs of A's conjugated
-  columns — O(r N log N) instead of the O(r M N) direct product; and
+  columns — O(r N log N) instead of the O(r M N) direct product;
 * quadratic-form: ``||A^H a(u)||^2 = a(u)^H H a(u)`` with ``H = A A^H``,
   and on the uniform grid that trigonometric polynomial is a single
   length-N inverse FFT of H's diagonal sums — O(M^2 r + N log N) total,
-  independent of the operand width r everywhere past the Gram product.
+  independent of the operand width r everywhere past the Gram product; and
+* correlations: the complex values ``A^H a(u)`` themselves, split into
+  N/L twiddled inverse FFTs of length L >= M that land in angle order.
 
-Numerators take the per-column route, so every method's grid cost scales
-with the width of its own subspace operand.  Projector denominators take
-the quadratic-form route (a projector is its own Gram matrix), which
-removes the one always-M-wide operand from every ratio objective.
+Spectral numerators take the per-column route, so every method's grid cost
+scales with the width of its own subspace operand.  Projector denominators
+take the quadratic-form route (a projector is its own Gram matrix).
 Reciprocal (noise-form) objectives combine the two: quadratic form for the
 bulk of the grid, per-column refinement below a small threshold, because
 their saturation test needs vanishing norms to come out as exact
 nonnegative sums of squares, whereas the quadratic form reaches zero by
-cancellation and can land a hair below it.
+cancellation and can land a hair below it.  The greedy engine takes the
+correlation route.
 
 The u-grid is uniform on [-1, 1) with spacing 2/N.  Writing the steering
 phase at grid point p as
@@ -35,6 +37,7 @@ back.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -99,7 +102,7 @@ class Pseudospectrum:
 
 
 def make_grid(N: int, M: int, phase_factor: float = math.pi) -> DoaGrid:
-    """Build the N-point search grid for an M-element array.
+    """The N-point search grid for an M-element array, cached and read-only.
 
     Args:
         N: Grid size; must be even and at least 2*M so the array aperture is
@@ -116,23 +119,28 @@ def make_grid(N: int, M: int, phase_factor: float = math.pi) -> DoaGrid:
         raise ValueError(f"grid size {N} must be >= 2*M = {2 * M}")
     if N % 2:
         raise ValueError(f"grid size {N} must be even")
+    return _cached_grid(N, M, phase_factor)
+
+
+@functools.lru_cache(maxsize=8)
+def _cached_grid(N: int, M: int, phase_factor: float) -> DoaGrid:
     angles = -1.0 + 2.0 * np.arange(N) / N
     index_map = (N // 2 - np.arange(N)) % N
     steering = steering_matrix(angles, M, phase_factor)
-    return DoaGrid(
-        N=N,
-        angles=angles,
-        index_map=index_map,
-        M=M,
-        phase_factor=phase_factor,
-        steering=steering,
-    )
+    for arr in (angles, index_map, steering):
+        arr.flags.writeable = False
+    return DoaGrid(N, angles, index_map, M, phase_factor, steering)
 
 
 def colnorms_sq_direct(A: np.ndarray, grid: DoaGrid) -> np.ndarray:
-    """``||A^H a(u)||^2`` over the grid by direct matrix product."""
+    """``||A^H a(u)||^2`` by direct product, squared in the product's own
+    buffer: fresh temporaries page-fault once the allocator returned them."""
     proj = A.conj().T @ grid.steering
-    return np.sum(proj.real**2 + proj.imag**2, axis=0)
+    parts = proj.view(np.float64)
+    np.square(parts, out=parts)
+    sq = parts[:, 0::2]
+    sq += parts[:, 1::2]
+    return np.sum(sq, axis=0)
 
 
 def colnorms_sq_fft(A: np.ndarray, grid: DoaGrid) -> np.ndarray:
@@ -248,6 +256,50 @@ def colnorms_sq(A: np.ndarray, grid: DoaGrid, evaluator: str = "fft") -> np.ndar
     raise ValueError(f"unknown evaluator: {evaluator!r}")
 
 
+@functools.lru_cache(maxsize=8)
+def _split_twiddles(N: int, M: int) -> tuple:
+    """(L, T): the smallest divisor L >= M of N, T[m, q] = (-1)^m w_N^(q m)."""
+    L = next(d for d in range(M, N + 1) if N % d == 0)
+    m = np.arange(M)[:, None]
+    T = (1.0 - 2.0 * (m % 2)) * np.exp(2j * np.pi * m * np.arange(N // L) / N)
+    T.flags.writeable = False
+    return L, T
+
+
+def grid_correlations(A: np.ndarray, grid: DoaGrid, evaluator: str = "fft") -> np.ndarray:
+    """``A^H a(u)`` over the grid: N x r, rows in ascending-angle order.
+
+    On the fft path, grid point p = (N/L) t + q gets
+    ``sum_m conj(A[m, j]) T[m, q] exp(j 2 pi t m / L)`` (see _split_twiddles):
+    N/L twiddled copies of conj(A) take length-L inverse FFTs that land in
+    angle order.  Direct and non-pi grids take the product with the steering.
+    """
+    if evaluator not in ("fft", "direct"):
+        raise ValueError(f"unknown evaluator: {evaluator!r}")
+    if evaluator == "direct" or grid.phase_factor != math.pi:
+        return grid.steering.T @ A.conj()
+    M, r = A.shape
+    L, T = _split_twiddles(grid.N, M)
+    buf = np.zeros((L, grid.N // L, r), dtype=complex)
+    np.multiply(T[:, :, None], A.conj()[:, None, :], out=buf[:M])
+    return sp_fft.ifft(buf, axis=0, norm="forward", overwrite_x=True).reshape(grid.N, r)
+
+
+def apply_form(values: np.ndarray, form: str, denom: np.ndarray, M: int) -> np.ndarray:
+    """Squared numerator norms as a "norm" or ratio-form objective; ratio
+    forms divide by ``denom = ||Pc a||^2`` and mask it below MASK_RTOL * M."""
+    if form == "norm":
+        return values
+    if form not in RATIO_FORMS:
+        raise ValueError(f"{form!r} is not a norm or ratio form")
+    masked = denom < MASK_RTOL * M
+    out = values / np.where(masked, 1.0, denom)
+    if form == "complement-ratio":
+        out = 1.0 - out
+    out[masked] = -np.inf
+    return out
+
+
 def objective_values(
     num: np.ndarray,
     grid: DoaGrid,
@@ -306,12 +358,4 @@ def objective_values(
     if pc is None:
         raise ValueError(f"form {form!r} needs the complement projector")
     denom = quadform_fft(pc, grid) if quad else colnorms_sq(pc, grid, evaluator)
-    masked = denom < MASK_RTOL * M
-    safe = np.where(masked, 1.0, denom)
-    if form == "ratio":
-        out = values / safe
-    else:  # complement-ratio
-        out = 1.0 - values / safe
-    out[masked] = -np.inf
-    return out
-
+    return apply_form(values, form, denom, M)

@@ -19,6 +19,14 @@ precision however ill-conditioned the selected steering matrix becomes
 ("twice is enough": Giraud, Langou & Rozložník 2005).  So no per-iteration
 rebuild of the selected steering matrix, pseudoinverse or projector is
 needed, and the rank guard is simply the new column's residual norm.
+
+Nor is the residual transformed again.  The state holds its grid
+correlations ``Z = residual^H a(u)`` and ``d = ||Pc a(u)||^2``; a new column q
+with ``c = q^H a(u)`` and ``w = residual^H q`` updates them in place by
+``Z -= c w^T``, ``d -= |c|^2`` (the recursions of Rebollo-Neira & Lowe 2002),
+so an estimate transforms its operand once, then one column per selection.
+Scores are Z's squared row norms: recursing on the norms instead cancels
+against their initial values.
 """
 
 from __future__ import annotations
@@ -27,28 +35,35 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg.blas import zgeru
 
-from doalab.fastgrid import MASK_RTOL, RATIO_FORMS, DoaGrid, objective_values
+from doalab.fastgrid import MASK_RTOL, DoaGrid, apply_form, grid_correlations
 from doalab.scenario import steering_vector
 
 
-@dataclass(frozen=True)
+@dataclass
 class GreedyState:
-    """Selection state after ``len(selected)`` greedy iterations.
+    """Selection state of one greedy run on one operand X, updated in place.
 
     Attributes:
         selected: Angles chosen so far, in selection order.
-        Q: M x len(selected) matrix with orthonormal columns spanning their
-            steering vectors.
-        phase_factor: Element phase factor of the steering vectors.
+        Q: M x len(selected) orthonormal basis of their steering span.
+        res: M x r residual ``X - Q (Q^H X)``.
+        Z: N x r grid correlations ``res^H a(u)``, in ascending-angle order.
+        d: ``||Pc a(u)||^2`` over the grid.
+        grid, evaluator: Where and how Z is evaluated.
     """
 
     selected: tuple
     Q: np.ndarray
-    phase_factor: float = math.pi
+    res: np.ndarray
+    Z: np.ndarray
+    d: np.ndarray
+    grid: DoaGrid
+    evaluator: str
 
     def residual(self, X: np.ndarray) -> np.ndarray:
-        """``X - Q (Q^H X)``: X projected onto the complement of the span."""
+        """``X - Q (Q^H X)``: any X projected onto the complement of the span."""
         return X - self.Q @ (self.Q.conj().T @ X)
 
     @property
@@ -57,33 +72,24 @@ class GreedyState:
         return np.eye(self.Q.shape[0], dtype=complex) - self.Q @ self.Q.conj().T
 
 
-def initial_state(M: int, phase_factor: float = math.pi) -> GreedyState:
-    """State before any selection: an empty basis, so every residual is X."""
-    return GreedyState(
-        selected=(), Q=np.empty((M, 0), dtype=complex), phase_factor=phase_factor
-    )
+def initial_state(X: np.ndarray, grid: DoaGrid, evaluator: str = "fft") -> GreedyState:
+    """State before any selection: the residual is X, transformed once."""
+    M, res = X.shape[0], np.array(X, dtype=complex, order="C")
+    Z, d = grid_correlations(res, grid, evaluator), np.full(grid.N, float(M))
+    return GreedyState((), np.empty((M, 0), dtype=complex), res, Z, d, grid, evaluator)
 
 
-def greedy_objective(
-    state: GreedyState,
-    X: np.ndarray,
-    grid: DoaGrid,
-    form: str,
-    evaluator: str = "fft",
-) -> np.ndarray:
-    """Candidate scores for the next angle, aligned with ``grid.angles``.
-
-    The numerator is the residual of the operand X, scored in objective
-    ``form``; ratio forms also get the complement projector, whose
-    degenerate candidates (projected steering norm below ``MASK_RTOL * M``,
-    e.g. already selected) score -inf.
-    """
-    pc = state.Pc if form in RATIO_FORMS else None
-    return objective_values(state.residual(X), grid, form, evaluator, pc=pc)
+def greedy_objective(state: GreedyState, form: str) -> np.ndarray:
+    """Scores for the next angle in ``form`` ("norm", "ratio" or
+    "complement-ratio"); ratio forms mask degenerate candidates with -inf."""
+    parts = state.Z.view(np.float64)
+    values = np.einsum("pc,pc->p", parts, parts)
+    return apply_form(values, form, state.d, state.res.shape[0])
 
 
-def greedy_update(state: GreedyState, new_angle: float) -> GreedyState:
-    """Add one angle: append its steering vector orthogonalized twice against Q.
+def greedy_update(state: GreedyState, new_angle: float) -> None:
+    """Add one angle in place: append its steering vector, orthogonalized
+    twice against Q, and update res, Z and d by that one column.
 
     Raises:
         ValueError: If the angle was already selected.
@@ -95,7 +101,7 @@ def greedy_update(state: GreedyState, new_angle: float) -> GreedyState:
         raise ValueError(f"angle {new_angle} already selected")
     Q = state.Q
     M = Q.shape[0]
-    a = steering_vector(new_angle, M, state.phase_factor)
+    a = steering_vector(new_angle, M, state.grid.phase_factor)
     for _ in range(2):
         a = a - Q @ (Q.conj().T @ a)
     norm_sq = float(np.vdot(a, a).real)
@@ -103,20 +109,17 @@ def greedy_update(state: GreedyState, new_angle: float) -> GreedyState:
         raise np.linalg.LinAlgError(
             "rank-deficient selection (near-duplicate selected angles)"
         )
-    return GreedyState(
-        selected=state.selected + (float(new_angle),),
-        Q=np.column_stack([Q, a / math.sqrt(norm_sq)]),
-        phase_factor=state.phase_factor,
-    )
+    q = a / math.sqrt(norm_sq)
+    c = grid_correlations(q[:, None], state.grid, state.evaluator)[:, 0]
+    w = state.res.conj().T @ q
+    state.Z = zgeru(-1.0, w, c, a=state.Z.T, overwrite_a=True).T  # Z -= c w^T, in place
+    state.d -= c.real**2 + c.imag**2
+    state.res -= np.outer(q, w.conj())
+    state.Q = np.column_stack([Q, q])
+    state.selected += (float(new_angle),)
 
 
-def greedy_step(
-    state: GreedyState,
-    X: np.ndarray,
-    grid: DoaGrid,
-    form: str,
-    evaluator: str = "fft",
-) -> GreedyState:
+def greedy_step(state: GreedyState, form: str) -> None:
     """One iteration: select the grid angle with the best score."""
-    values = greedy_objective(state, X, grid, form, evaluator)
-    return greedy_update(state, grid.angles[int(np.argmax(values))])
+    values = greedy_objective(state, form)
+    greedy_update(state, state.grid.angles[int(np.argmax(values))])

@@ -8,7 +8,9 @@ Each estimator is one row of three choices:
   the covariance square root;
 * its objective form (:func:`doalab.fastgrid.objective_values`);
 * spectral or greedy: score the grid once and report the K largest peaks, or
-  run K iterations of the engine in :mod:`doalab.greedy`.
+  run K iterations of the engine in :mod:`doalab.greedy`.  Either way the
+  operand is transformed onto the grid once per estimate; a greedy estimate
+  then transforms one more column per selection.
 
 The square root factors exactly into the scaled signal and noise subspaces,
 so the greedy rows are one family: the OMP objective is the sum of the
@@ -143,10 +145,10 @@ def estimate_method(
     if not row.greedy:
         values = objective_values(X, grid, row.form, evaluator)
         return grid.angles[select_peak_indices(values, K)]
-    state = initial_state(M, grid.phase_factor)
+    state = initial_state(X, grid, evaluator)
     for it in range(K):
         if emulate_evd_per_iter and it > 0:
             residual_cov = state.Pc @ R @ state.Pc
             hermitian_evd(0.5 * (residual_cov + residual_cov.conj().T))
-        state = greedy_step(state, X, grid, row.form, evaluator)
+        greedy_step(state, row.form)
     return np.array(state.selected)

@@ -131,22 +131,22 @@ def hybrid_order(
         raise ValueError(f"need base.k_hat <= max_k < M, got {base.k_hat}, {max_k}, {M}")
 
     trace_R = float(np.sum(sqrt_R.real**2 + sqrt_R.imag**2))
+    state = initial_state(sqrt_R, grid, evaluator)
 
-    def criterion_at(k, state):
-        res = state.residual(sqrt_R)
+    def criterion_at(k):
+        res = state.res
         eps = max(float(np.sum(res.real**2 + res.imag**2)) / trace_R, _EPS_FLOOR)
         return criterion(k, eps, M, snapshots)
 
-    state = initial_state(M, grid.phase_factor)
     curve = np.full(M, np.nan)
     for _ in range(base.k_hat):
-        state = greedy_step(state, sqrt_R, grid, "ratio", evaluator)
+        greedy_step(state, "ratio")
     k = base.k_hat
-    curve[k] = criterion_at(k, state)
+    curve[k] = criterion_at(k)
     while k < max_k:
-        candidate = greedy_step(state, sqrt_R, grid, "ratio", evaluator)
-        curve[k + 1] = criterion_at(k + 1, candidate)
+        greedy_step(state, "ratio")
+        curve[k + 1] = criterion_at(k + 1)
         if not curve[k + 1] < curve[k]:
             break
-        state, k = candidate, k + 1
+        k += 1
     return OrderEstimate(k_hat=k, criterion_curve=curve, criterion_id="hybrid")

@@ -234,17 +234,17 @@ def synthesize_observation(
     carrier = truth.amplitudes * np.exp(-2j * math.pi * cfg.carrier_freq_hz * truth.ranges)
     ramp_q = np.exp(-2j * math.pi * df * np.outer(truth.ranges, np.arange(Q)))
     ramp_d = np.exp(2j * math.pi * t_sym * np.outer(truth.dopplers, np.arange(D)))
-    beta = carrier[:, None, None] * ramp_d[:, :, None] * ramp_q[:, None, :]
-    beta = beta.reshape(K, D * Q)
+    coeffs = carrier[:, None, None] * ramp_d[:, :, None] * ramp_q[:, None, :]
+    coeffs = coeffs.reshape(K, D * Q)
+    coeffs *= np.exp(1j * rng.uniform(0.0, 2.0 * math.pi, D * Q))  # data symbols
 
-    symbols = np.exp(1j * rng.uniform(0.0, 2.0 * math.pi, D * Q))
-    coeffs = beta * symbols[None, :]
-
-    scale = math.sqrt(truth.noise_variance / 2.0)
-    noise = scale * (
-        rng.standard_normal((M, D * Q)) + 1j * rng.standard_normal((M, D * Q))
-    )
+    noise = np.empty((M, D * Q), dtype=complex)
+    part = np.empty((M, D * Q))
+    noise.real = rng.standard_normal(out=part)
+    noise.imag = rng.standard_normal(out=part)
+    noise *= math.sqrt(truth.noise_variance / 2.0)
 
     A = steering_matrix(truth.doas, M, cfg.element_phase_factor)
-    Y = A @ coeffs + noise
+    Y = A @ coeffs
+    Y += noise
     return Observation(Y=Y, coeffs=coeffs, truth=truth, noise=noise)

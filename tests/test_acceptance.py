@@ -155,7 +155,7 @@ def _naive_ols_scores(state, sqrt_R, grid) -> np.ndarray:
     """
     M = state.Pc.shape[0]
     if state.selected:
-        A_sel = steering_matrix(np.array(state.selected), M, state.phase_factor)
+        A_sel = steering_matrix(np.array(state.selected), M, grid.phase_factor)
     else:
         A_sel = np.empty((M, 0), dtype=complex)
     pc_norms = np.sum(np.abs(state.Pc @ grid.steering) ** 2, axis=0)
@@ -176,26 +176,26 @@ def test_criterion_02_ols_fast_form_matches_naive_refit():
     for _ in range(100):
         R = sample_covariance(_random_observation(rng, M, L))
         sqrt_R = covariance_sqrt(hermitian_evd(R))
-        state = initial_state(M)
+        state = initial_state(sqrt_R, grid, "fft")
         for _ in range(K):
-            fast = greedy_objective(state, sqrt_R, grid, "ratio", "fft")
+            fast = greedy_objective(state, "ratio")
             slow = _naive_ols_scores(state, sqrt_R, grid)
             pick = int(np.argmax(fast))
             assert pick == int(np.argmax(slow))
-            state = greedy_update(state, grid.angles[pick])
+            greedy_update(state, grid.angles[pick])
 
     # Timing claim: one mid-selection iteration at M=16, N=2048.
     M2, N2 = 16, 2048
     grid2 = make_grid(N2, M2)
     R2 = sample_covariance(_random_observation(rng, M2, 64))
     sqrt_R2 = covariance_sqrt(hermitian_evd(R2))
-    state2 = initial_state(M2)
+    state2 = initial_state(sqrt_R2, grid2, "fft")
     for _ in range(2):
-        ps = greedy_objective(state2, sqrt_R2, grid2, "ratio", "fft")
-        state2 = greedy_update(state2, grid2.angles[int(np.argmax(ps))])
+        ps = greedy_objective(state2, "ratio")
+        greedy_update(state2, grid2.angles[int(np.argmax(ps))])
     meds = _interleaved_medians(
         {
-            "fast": lambda: greedy_objective(state2, sqrt_R2, grid2, "ratio", "fft"),
+            "fast": lambda: greedy_objective(state2, "ratio"),
             "slow": lambda: _naive_ols_scores(state2, sqrt_R2, grid2),
         },
         repeats=3,
@@ -219,9 +219,9 @@ def test_criterion_03_residual_correlation_equals_weighted_subspace_sum():
         R = sample_covariance(_random_observation(rng, M, L))
         evd = hermitian_evd(R)
         sqrt_R = covariance_sqrt(evd)
-        state = initial_state(M)
+        state = initial_state(sqrt_R, grid, "direct")
         for _ in range(K):
-            omp_vals = greedy_objective(state, sqrt_R, grid, "norm", "direct")
+            omp_vals = greedy_objective(state, "norm")
             proj = (state.Pc @ evd.eigenvectors).conj().T @ grid.steering
             subspace_sum = evd.eigenvalues @ (proj.real**2 + proj.imag**2)
             scale = float(omp_vals.max())
@@ -229,7 +229,7 @@ def test_criterion_03_residual_correlation_equals_weighted_subspace_sum():
                 subspace_sum, omp_vals, rtol=1e-9, atol=1e-9 * scale
             )
             worst = max(worst, float(np.max(np.abs(subspace_sum - omp_vals))) / scale)
-            state = greedy_update(state, grid.angles[int(np.argmax(omp_vals))])
+            greedy_update(state, grid.angles[int(np.argmax(omp_vals))])
     _report(3, f"pointwise identity holds every iteration; worst scaled error {worst:.1e}")
 
 
@@ -246,13 +246,14 @@ def test_criterion_04_residual_ratio_signal_and_noise_forms_agree():
         R = sample_covariance(_random_observation(rng, M, L))
         K = int(rng.integers(1, 5))
         dec = partition(R, K)
-        state = initial_state(M)
+        state, noise_state = initial_state(dec.S, grid), initial_state(dec.G, grid)
         for _ in range(int(rng.integers(0, 3))):
             pick = float(grid.angles[int(rng.integers(0, N))])
             if pick not in state.selected:
-                state = greedy_update(state, pick)
-        sig = greedy_objective(state, dec.S, grid, "ratio")
-        noi = greedy_objective(state, dec.G, grid, "complement-ratio")
+                greedy_update(state, pick)
+                greedy_update(noise_state, pick)
+        sig = greedy_objective(state, "ratio")
+        noi = greedy_objective(noise_state, "complement-ratio")
         assert int(np.argmax(sig)) == int(np.argmax(noi))
         np.testing.assert_array_equal(np.isneginf(sig), np.isneginf(noi))
     _report(4, "identical selections on 100 random states (masks identical too)")
@@ -277,14 +278,14 @@ def test_criterion_05_fft_evaluator_matches_direct_and_is_faster():
     dec = partition(R, K)
 
     sqrt_R = covariance_sqrt(evd)
-    gstate = initial_state(M)
+    gstate = initial_state(sqrt_R, grid, "fft")
     for _ in range(3):
-        vals = greedy_objective(gstate, sqrt_R, grid, "ratio", "fft")
-        gstate = greedy_update(gstate, grid.angles[int(np.argmax(vals))])
-    istate = initial_state(M)
+        vals = greedy_objective(gstate, "ratio")
+        greedy_update(gstate, grid.angles[int(np.argmax(vals))])
+    istate = initial_state(dec.S, grid)
     for _ in range(3):
-        vals = greedy_objective(istate, dec.S, grid, "ratio")
-        istate = greedy_update(istate, grid.angles[int(np.argmax(vals))])
+        vals = greedy_objective(istate, "ratio")
+        greedy_update(istate, grid.angles[int(np.argmax(vals))])
     weighted_res = istate.residual(dec.weighted_signal())
 
     cases = {

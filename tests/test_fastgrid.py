@@ -12,6 +12,7 @@ from doalab.fastgrid import (
     colnorms_sq,
     colnorms_sq_direct,
     colnorms_sq_fft,
+    grid_correlations,
     make_grid,
     objective_values,
     quadform_fft,
@@ -45,6 +46,16 @@ def test_make_grid_validation():
         make_grid(8, 8)
     with pytest.raises(ValueError, match="even"):
         make_grid(33, 8)
+
+
+def test_make_grid_is_cached_and_read_only():
+    grid = make_grid(128, 8)
+    assert make_grid(128, 8) is grid
+    assert make_grid(128, 8, math.pi) is grid
+    assert make_grid(128, 8, phase_factor=2.5) is not grid
+    for arr in (grid.angles, grid.index_map, grid.steering):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 0
 
 
 # ---------------------------------------------------------------- evaluators
@@ -133,6 +144,28 @@ def test_single_steering_column_concentrates_power():
     np.testing.assert_allclose(vals[p0], M * M, rtol=1e-12)
     orth = p0 + N // M  # one full beamwidth away
     np.testing.assert_allclose(vals[orth], 0.0, atol=1e-9)
+
+
+@pytest.mark.parametrize("phase_factor", [math.pi, 2.5])
+@pytest.mark.parametrize("M", [8, 6])  # 6 does not divide N: a length-8 split
+def test_grid_correlations_match_brute_force(M, phase_factor):
+    # Row p holds A^H a(u_p) in angle order on both evaluators; its squared
+    # norm is the column-norm objective.
+    rng = np.random.default_rng(3)
+    grid = make_grid(64, M, phase_factor)
+    A = random_complex(rng, M, 3)
+    brute = np.stack(
+        [A.conj().T @ steering_vector(u, M, phase_factor) for u in grid.angles]
+    )
+    for evaluator in ("fft", "direct"):
+        Z = grid_correlations(A, grid, evaluator)
+        assert Z.shape == (64, 3) and Z.flags.c_contiguous
+        np.testing.assert_allclose(Z, brute, rtol=0, atol=1e-12 * np.abs(brute).max())
+        np.testing.assert_allclose(
+            np.sum(np.abs(Z) ** 2, axis=1), colnorms_sq_direct(A, grid), rtol=1e-12
+        )
+    with pytest.raises(ValueError, match="evaluator"):
+        grid_correlations(A, grid, "clever")
 
 
 # ---------------------------------------------------------------- quadratic form

@@ -41,10 +41,18 @@ def scenario_dec(seed, M=8, K=3, snr_db=30.0, N=256):
     return R, partition(R, K), make_grid(N, M), truth
 
 
-def advance(state, X, grid, form, steps):
+def advance(state, form, steps):
     for _ in range(steps):
-        state = greedy_step(state, X, grid, form)
+        greedy_step(state, form)
     return state
+
+
+def on_operand(state, X):
+    """A state on operand X with the selections of ``state``."""
+    other = initial_state(X, state.grid, state.evaluator)
+    for u in state.selected:
+        greedy_update(other, u)
+    return other
 
 
 # ---------------------------------------------------------------- identities
@@ -54,7 +62,7 @@ def test_initial_objective_is_signal_pseudospectrum():
     # Before any selection the unweighted residual objective and the
     # signal-form pseudospectrum are the same function.
     _, dec, grid, _ = scenario_dec(seed=0)
-    obj = greedy_objective(initial_state(dec.M), dec.S, grid, "norm")
+    obj = greedy_objective(initial_state(dec.S, grid), "norm")
     music = pseudospectrum(dec, grid, "music-signal").values
     np.testing.assert_allclose(obj, music, atol=1e-12 * dec.M)
 
@@ -65,7 +73,7 @@ def test_energy_split_identity(seed):
     # correlation energy splits exactly into the weighted residual-subspace
     # energies at every grid point and every iteration.
     R, dec, grid, _ = scenario_dec(seed=seed)
-    state = initial_state(dec.M)
+    state = initial_state(dec.S, grid)
     for _ in range(3):
         omp_energy = colnorms_sq(state.Pc @ dec.sqrt_R, grid, "fft")
         sig = colnorms_sq(state.residual(dec.weighted_signal()), grid, "fft")
@@ -73,7 +81,7 @@ def test_energy_split_identity(seed):
         np.testing.assert_allclose(
             sig + noi, omp_energy, rtol=0, atol=1e-9 * omp_energy.max()
         )
-        state = advance(state, dec.S, grid, "ratio", 1)
+        state = advance(state, "ratio", 1)
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -83,9 +91,9 @@ def test_signal_and_noise_ratio_forms_pick_same_candidate(seed):
     rng = np.random.default_rng(seed)
     R, dec, grid, _ = scenario_dec(seed=seed, M=10, K=4)
     steps = int(rng.integers(0, 3))
-    state = advance(initial_state(dec.M), dec.S, grid, "ratio", steps)
-    sig = greedy_objective(state, dec.S, grid, "ratio")
-    noi = greedy_objective(state, dec.G, grid, "complement-ratio")
+    state = advance(initial_state(dec.S, grid), "ratio", steps)
+    sig = greedy_objective(state, "ratio")
+    noi = greedy_objective(on_operand(state, dec.G), "complement-ratio")
     assert int(np.argmax(sig)) == int(np.argmax(noi))
     # And the forms are complementary where defined: the residual signal and
     # noise energies partition ||Pc a||^2, so sig + (1 - noi) = 1.
@@ -98,9 +106,9 @@ def test_dropping_noise_term_bounded_by_largest_noise_eigenvalue(seed):
     # |OMP energy - weighted residual signal energy| <= lambda_n_max *
     # ||Pc a||^2 pointwise: the dropped term is the weighted noise energy.
     R, dec, grid, _ = scenario_dec(seed=seed, M=12, K=3)
-    state = advance(initial_state(dec.M), dec.S, grid, "ratio", 1)
+    state = advance(initial_state(dec.S, grid), "ratio", 1)
     omp_energy = colnorms_sq(state.Pc @ dec.sqrt_R, grid, "fft")
-    weighted = greedy_objective(state, dec.weighted_signal(), grid, "norm")
+    weighted = greedy_objective(on_operand(state, dec.weighted_signal()), "norm")
     bound = dec.lambda_n.max() * colnorms_sq(state.Pc, grid, "fft")
     slack = 1e-9 * omp_energy.max()
     assert np.all(np.abs(omp_energy - weighted) <= bound + slack)
@@ -108,7 +116,7 @@ def test_dropping_noise_term_bounded_by_largest_noise_eigenvalue(seed):
 
 def test_residuals_reproject_original_subspaces():
     _, dec, grid, _ = scenario_dec(seed=7)
-    state = advance(initial_state(dec.M), dec.S, grid, "ratio", 2)
+    state = advance(initial_state(dec.S, grid), "ratio", 2)
     _, Pc = projectors(steering_matrix(state.selected, dec.M))
     Sres = state.residual(dec.S)
     np.testing.assert_allclose(Sres, Pc @ dec.S, atol=1e-12)
@@ -133,7 +141,8 @@ def test_variant_operand_selects_subspace():
 
 def test_duplicate_angle_rejected():
     _, dec, grid, _ = scenario_dec(seed=9)
-    state = greedy_update(initial_state(dec.M), grid.angles[5])
+    state = initial_state(dec.S, grid)
+    greedy_update(state, grid.angles[5])
     with pytest.raises(ValueError, match="already selected"):
         greedy_update(state, grid.angles[5])
 
@@ -144,14 +153,14 @@ def test_duplicate_angle_rejected():
 def test_resolve_variant(monkeypatch):
     # ols-imusic scores the narrower subspace: S while K <= M-K, then G in
     # the complement-ratio form; other ids keep their operand and form.
-    real = greedy.objective_values
+    real = greedy.greedy_objective
     seen = set()
 
-    def spy(num, grid, form, *args, **kwargs):
-        seen.add((num.shape[1], form))
-        return real(num, grid, form, *args, **kwargs)
+    def spy(state, form, *args, **kwargs):
+        seen.add((state.res.shape[1], form))
+        return real(state, form, *args, **kwargs)
 
-    monkeypatch.setattr(greedy, "objective_values", spy)
+    monkeypatch.setattr(greedy, "greedy_objective", spy)
     for method, K, width, form in (
         ("ols-imusic", 3, 3, "ratio"),
         ("ols-imusic", 8, 8, "ratio"),
