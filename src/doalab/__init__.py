@@ -21,8 +21,6 @@ _EXPORTS = {
     "HermitianEvd": "doalab.linalg",
     "hermitian_evd": "doalab.linalg",
     "covariance_sqrt": "doalab.linalg",
-    "pseudoinverse": "doalab.linalg",
-    "projectors": "doalab.linalg",
     "evd_call_count": "doalab.linalg",
     # scenario
     "ScenarioConfig": "doalab.scenario",

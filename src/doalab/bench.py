@@ -17,7 +17,7 @@ import csv
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass, fields, replace
 from multiprocessing import get_context
 from time import perf_counter
@@ -45,6 +45,11 @@ EVALUATORS = ("fft", "direct")
 # Fraction of per-method trial failures at one sweep point that triggers a
 # sweep warning.
 FAILURE_WARN_FRACTION = 0.05
+# Trials per chunk handed to a spawned child, and chunks a child may hold at
+# once: enough to keep it busy between the caller's own trials, few enough
+# that the caller's shared cursor takes the rest.
+CHUNK_TRIALS = 2
+CHUNKS_PER_CHILD = 2
 
 
 @dataclass(frozen=True)
@@ -257,8 +262,43 @@ def _apply_sweep_value(base: ScenarioConfig, parameter: str, value) -> ScenarioC
     return replace(base, **{parameter: int(value)})
 
 
-def _trial_task(args):
-    return run_trial(*args)
+def _run_chunk(tasks):
+    return [run_trial(*task) for task in tasks]
+
+
+def _run_tasks(tasks: list, processes: int) -> list:
+    """``run_trial`` over every task on ``processes`` processes, in task order.
+
+    The calling process runs trials one at a time from a shared cursor while
+    ``processes - 1`` spawned children are fed CHUNK_TRIALS-trial chunks from
+    the same cursor, at most CHUNKS_PER_CHILD outstanding per child, so
+    nobody idles while trials remain and no child is spawned for a single
+    process.  Results are stored by task index.  On any exception the chunks
+    not yet started are cancelled and the exception is re-raised without
+    waiting for the children's current chunks; either way the children exit
+    in the background, reaped by the pool's own thread.
+    """
+    results, pending, cursor = [None] * len(tasks), {}, 0
+    children = min(processes, len(tasks)) - 1
+    pool = ProcessPoolExecutor(children, mp_context=get_context("spawn")) if children else None
+    try:
+        while cursor < len(tasks) or pending:
+            while cursor < len(tasks) and len(pending) < CHUNKS_PER_CHILD * children:
+                chunk = tasks[cursor : cursor + CHUNK_TRIALS]
+                pending[pool.submit(_run_chunk, chunk)] = cursor  # its first task's index
+                cursor += len(chunk)
+            for future in [f for f in pending if f.done()]:
+                start, chunk = pending.pop(future), future.result()
+                results[start : start + len(chunk)] = chunk
+            if cursor < len(tasks):
+                results[cursor] = run_trial(*tasks[cursor])
+                cursor += 1
+            elif pending:
+                wait(pending, return_when=FIRST_COMPLETED)
+    finally:
+        if pool:  # cancels what is left after an error; never waits on a child
+            pool.shutdown(wait=False, cancel_futures=True)
+    return results
 
 
 def trimmed_mean(values, trim_fraction: float = 0.05) -> float:
@@ -288,9 +328,11 @@ def run_sweep(
 ) -> ResultTable:
     """Run a full sweep and aggregate per-(value, method) rows.
 
-    Trials run across a process pool (worker count from ``workers``, the
-    DOALAB_THREADS environment variable, or the CPU count; ``serial=True``
-    keeps everything in-process for clean timing).  Metric columns depend
+    Trials run on ``workers`` processes, the calling process included: it
+    runs trials itself beside ``workers - 1`` spawned children.  The count
+    comes from ``workers``, the DOALAB_THREADS environment variable, or the
+    CPU count; ``serial=True`` (like a count of 1) keeps every trial
+    in-process and spawns nothing, for clean timing.  Metric columns depend
     only on the spec and seed; timing columns depend on the machine.
 
     Per-method trial failures are excluded from that method's aggregates; a
@@ -306,15 +348,7 @@ def run_sweep(
         for t in range(spec.trials):
             tasks.append((cfg_v, t, tuple(spec.methods), criteria, spec.evaluator))
 
-    if serial or _worker_count(workers) == 1 or len(tasks) == 1:
-        results = [_trial_task(task) for task in tasks]
-    else:
-        n_workers = min(_worker_count(workers), len(tasks))
-        chunk = max(1, len(tasks) // (n_workers * 4))
-        with ProcessPoolExecutor(
-            max_workers=n_workers, mp_context=get_context("spawn")
-        ) as pool:
-            results = list(pool.map(_trial_task, tasks, chunksize=chunk))
+    results = _run_tasks(tasks, 1 if serial else _worker_count(workers))
 
     rows, warnings = [], []
     crit_by_method = dict(zip(spec.methods, criteria))

@@ -5,7 +5,8 @@ Exit codes: 0 on success, 1 on configuration errors, 2 on I/O errors.
 BLAS thread-count environment variables are pinned to 1 (unless the user
 already set them) before numpy loads, so each trial is internally
 single-threaded and timing columns are stable; use DOALAB_THREADS to control
-trial-level parallelism instead.
+trial-level parallelism instead.  It counts the processes that run trials,
+the calling process included, so a sweep spawns DOALAB_THREADS - 1 children.
 """
 
 from __future__ import annotations
@@ -49,7 +50,8 @@ def _build_parser() -> _Parser:
     sweep.add_argument(
         "--serial",
         action="store_true",
-        help="run trials in-process (clean timing, no worker pool)",
+        help="run every trial in this process (clean timing); otherwise "
+        "DOALAB_THREADS processes run trials, this one included",
     )
     sweep.add_argument(
         "--evaluator",

@@ -120,6 +120,12 @@ def greedy_update(state: GreedyState, new_angle: float) -> None:
 
 
 def greedy_step(state: GreedyState, form: str) -> None:
-    """One iteration: select the grid angle with the best score."""
+    """One iteration: select the grid angle with the best score.
+
+    Candidates that ratio forms mask (``||Pc a||^2`` below MASK_RTOL * M, the
+    selected angles among them) are passed over in every form, so a
+    residual that scores zero everywhere still selects a fresh angle.
+    """
     values = greedy_objective(state, form)
+    values[state.d < MASK_RTOL * state.res.shape[0]] = -np.inf
     greedy_update(state, state.grid.angles[int(np.argmax(values))])

@@ -1,11 +1,8 @@
 """Complex dense linear algebra kernel for the estimators.
 
-Hermitian eigendecomposition, the canonical covariance square root, and a
-normal-equations pseudoinverse with subspace projectors; the estimators use
-none of the latter two (see :mod:`doalab.greedy`), which serve as the
-reference the tests check the greedy engine against.  Everything here is
-a pure function over numpy arrays; matrices are plain ``complex128`` ndarrays
-with value semantics.
+Hermitian eigendecomposition and the canonical covariance square root.
+Everything here is a pure function over numpy arrays; matrices are plain
+``complex128`` ndarrays with value semantics.
 """
 
 from __future__ import annotations
@@ -13,7 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 # Relative tolerance for accepting an input as Hermitian.
 HERMITIAN_RTOL = 1e-8
@@ -21,8 +17,6 @@ HERMITIAN_RTOL = 1e-8
 # input and get clamped to zero; anything more negative is a contract breach
 # for square-root extraction.
 PSD_CLAMP_RTOL = 1e-10
-# Rank guard for the normal-equations pseudoinverse.
-RANK_RTOL = 1e-12
 
 # Instrumentation: number of eigendecompositions performed by this process.
 # The greedy iterative-MUSIC estimators advertise a single decomposition per
@@ -80,8 +74,11 @@ def hermitian_evd(R: np.ndarray) -> HermitianEvd:
         raise ValueError(f"expected a square matrix, got shape {R.shape}")
     if not np.all(np.isfinite(R)):
         raise ValueError("matrix contains non-finite entries")
-    norm = np.linalg.norm(R)
-    if norm > 0 and np.linalg.norm(R - R.conj().T) > HERMITIAN_RTOL * norm:
+    # Compared at unit scale: Frobenius norms of R itself overflow or
+    # underflow at extreme scales and would silently pass any matrix.
+    scale = np.max(np.abs(R), initial=0.0)
+    unit = R / scale if scale > 0 else R
+    if np.linalg.norm(unit - unit.conj().T) > HERMITIAN_RTOL * np.linalg.norm(unit):
         raise ValueError("matrix is not Hermitian within tolerance")
     _evd_calls += 1
     # LAPACK returns ascending eigenvalues; flip to descending.
@@ -112,56 +109,3 @@ def covariance_sqrt(evd: HermitianEvd) -> np.ndarray:
     if np.any(w < 0):
         raise ValueError("negative eigenvalue: matrix is not positive semidefinite")
     return evd.eigenvectors * np.sqrt(w)[None, :]
-
-
-def pseudoinverse(A: np.ndarray) -> np.ndarray:
-    """Moore-Penrose pseudoinverse of a tall full-column-rank matrix.
-
-    Computed as (A^H A)^{-1} A^H via a Cholesky factorization of the small
-    Gram matrix; selected-steering matrices, which it is meant for, have far
-    fewer columns than rows, so the normal-equations route is both cheap and
-    stable enough.
-
-    Args:
-        A: Matrix with rows >= cols.
-
-    Returns:
-        The cols x rows pseudoinverse; for zero columns, a 0 x rows matrix.
-
-    Raises:
-        ValueError: If A has more columns than rows.
-        np.linalg.LinAlgError: If A^H A is singular at the ``RANK_RTOL``
-            rank guard (near-duplicate columns).
-    """
-    A = np.asarray(A)
-    rows, cols = A.shape
-    if cols > rows:
-        raise ValueError(f"expected rows >= cols, got shape {A.shape}")
-    if cols == 0:
-        return np.zeros((0, rows), dtype=complex)
-    gram = A.conj().T @ A
-    gw = np.linalg.eigvalsh(0.5 * (gram + gram.conj().T))
-    if gw[0] < RANK_RTOL * max(gw[-1], 0.0) or gw[-1] <= 0:
-        raise np.linalg.LinAlgError(
-            "rank-deficient matrix (near-duplicate selected angles)"
-        )
-    return cho_solve(cho_factor(gram), A.conj().T)
-
-
-def projectors(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Orthogonal projectors onto the column span of A and its complement.
-
-    Args:
-        A: M x k matrix, k possibly 0 (empty selection).
-
-    Returns:
-        Tuple (P, Pc) of M x M matrices with P = A @ pinv(A) and
-        Pc = I - P.  An empty A yields P = 0 and Pc = I.
-    """
-    A = np.asarray(A)
-    M = A.shape[0]
-    if A.shape[1] == 0:
-        return np.zeros((M, M), dtype=complex), np.eye(M, dtype=complex)
-    P = A @ pseudoinverse(A)
-    P = 0.5 * (P + P.conj().T)  # exact Hermitian symmetry
-    return P, np.eye(M, dtype=complex) - P

@@ -126,8 +126,13 @@ def estimate_method(
             eigendecomposition count becomes K instead of 1.
 
     Returns:
-        Estimated normalized angles (selection order for greedy methods,
-        descending peak value for spectral ones).
+        K distinct estimated normalized angles (selection order for greedy
+        methods, descending peak value for spectral ones).  Greedy
+        iterations pass over the selected and degenerate candidates in
+        every objective form (see :func:`doalab.greedy.greedy_step`), so a
+        degenerate covariance still yields K distinct angles: with R = 0
+        every score ties at zero and the lowest grid angles not yet
+        selected are picked.
 
     Raises:
         ValueError: On an unknown method id, K outside 0 <= K < M, or

@@ -28,7 +28,7 @@ import pytest
 from doalab.bench import run_trial
 from doalab.fastgrid import MASK_RTOL, make_grid, objective_values
 from doalab.greedy import greedy_objective, greedy_update, initial_state
-from doalab.linalg import covariance_sqrt, evd_call_count, hermitian_evd, projectors
+from doalab.linalg import covariance_sqrt, evd_call_count, hermitian_evd
 from doalab.methods import METHOD_IDS, estimate_method
 from doalab.metrics import associate, detection_metrics, diagnostics, diagonality_score
 from doalab.scenario import (
@@ -40,6 +40,7 @@ from doalab.scenario import (
     trial_rng,
 )
 from doalab.subspace import partition, sample_covariance
+from reference_linalg import projectors
 
 # Methods compared in the 500-trial detection/precision sweep.  The classic
 # MUSIC baseline is the noise-form variant; the signal form shares its peak

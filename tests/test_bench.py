@@ -1,7 +1,11 @@
 """Tests for the Monte Carlo harness, the config parser, and the CLI."""
 
 import math
+import multiprocessing
 import os
+import warnings
+from dataclasses import replace
+from time import perf_counter, sleep
 
 import numpy as np
 import pytest
@@ -23,6 +27,7 @@ from doalab.bench import (
 from doalab.cli import main
 from doalab.config import ConfigError, parse_config
 from doalab.fastgrid import make_grid
+from doalab.linalg import hermitian_evd
 from doalab.methods import METHOD_IDS, estimate_method
 from doalab.scenario import (
     ScenarioConfig,
@@ -164,6 +169,38 @@ def test_estimates_do_not_depend_on_covariance_scale(campaign_scene, method, eva
         )
 
 
+@pytest.mark.parametrize("evaluator", ["fft", "direct"])
+@pytest.mark.parametrize("method", METHOD_IDS)
+def test_zero_covariance_yields_distinct_grid_angles(method, evaluator):
+    # R = 0 scores every candidate zero; greedy norm forms must still pass
+    # over the angles already selected instead of picking grid point 0 again.
+    grid = make_grid(256, 8)
+    est = estimate_method(method, np.zeros((8, 8), dtype=complex), 3, grid, evaluator)
+    assert est.size == 3 and len(set(est)) == 3
+    assert np.isin(est, grid.angles).all()
+
+
+def test_hermitian_guard_holds_at_extreme_scales(campaign_scene):
+    # Frobenius norms of the raw matrix overflow at 1e300 and underflow at
+    # 1e-300; the guard compares at unit scale, so it neither passes these
+    # non-Hermitian matrices nor warns on a legitimate extreme covariance.
+    rng = np.random.default_rng(5)
+    A = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
+    for c in (1e300, 1e-200, 1e-300):
+        with pytest.raises(ValueError, match="Hermitian"):
+            hermitian_evd(c * A)
+    R, grid = campaign_scene
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for method in METHOD_IDS:
+            for evaluator in ("fft", "direct"):
+                np.testing.assert_array_equal(
+                    estimate_method(method, 1e300 * R, 8, grid, evaluator),
+                    estimate_method(method, R, 8, grid, evaluator),
+                    err_msg=f"{method}/{evaluator}",
+                )
+
+
 def test_run_trial_survives_near_collinear_hybrid_selection():
     # Hybrid order runs OLS up to K = M-1 = 15; on this trial the selected
     # steering matrix is ill-conditioned enough that a normal-equations
@@ -225,10 +262,49 @@ def test_run_sweep_metric_columns_are_reproducible():
 
 
 def test_run_sweep_parallel_matches_serial():
-    spec = sweep_spec(trials=4)
+    # The caller runs trials beside workers - 1 children; every count must
+    # give the serial sweep's metric columns in the serial row order.  Eight
+    # trials per value leave the caller a share beside each child's chunks.
+    spec = sweep_spec(trials=8)
     serial = run_sweep(spec, serial=True)
-    parallel = run_sweep(spec, workers=2)
-    assert [metric_fields(r) for r in serial] == [metric_fields(r) for r in parallel]
+    for workers in (1, 2, 3):
+        parallel = run_sweep(spec, workers=workers)
+        assert [metric_fields(r) for r in serial] == [metric_fields(r) for r in parallel]
+
+
+def test_run_sweep_more_workers_than_trials():
+    spec = sweep_spec(values=(20.0,), trials=2)
+    serial = run_sweep(spec, serial=True)
+    pooled = run_sweep(spec, workers=8)
+    assert [metric_fields(r) for r in pooled] == [metric_fields(r) for r in serial]
+
+
+def test_run_sweep_trial_error_propagates_promptly():
+    # 63 targets with a one-cell gap on a 128-point grid exhaust the
+    # rejection sampler, so every trial at the first sweep value raises;
+    # the thousands of cheap trials behind it must not run first.
+    base = ScenarioConfig(
+        targets=1, antennas=64, subcarriers=16, symbols=2, grid_points=128, seed=3
+    )
+    spec = sweep_spec(
+        parameter="targets", values=(63, 1), methods=("music-signal",),
+        base=base, trials=20_000,
+    )
+    start = perf_counter()
+    with pytest.raises(ValueError, match="could not draw 63 angles"):
+        run_sweep(spec, workers=2)
+    elapsed = perf_counter() - start
+    # The child finishes its current chunk and exits, reaped by the pool's
+    # thread; poll rather than join it from here, which would race that.
+    deadline = start + 60.0
+    while multiprocessing.active_children() and perf_counter() < deadline:
+        sleep(0.05)
+    assert not multiprocessing.active_children()
+    assert elapsed < 5.0  # the 20 000 trials at targets=1 take ~2 ms each
+    # With two trials per value both failing trials go to the child's first
+    # chunk and the caller has none: the child's error must surface too.
+    with pytest.raises(ValueError, match="could not draw 63 angles"):
+        run_sweep(replace(spec, trials=2), workers=2)
 
 
 def test_run_sweep_evaluators_agree_on_metrics():

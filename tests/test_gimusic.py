@@ -8,7 +8,6 @@ import pytest
 from doalab import greedy, linalg
 from doalab.fastgrid import colnorms_sq, make_grid
 from doalab.greedy import greedy_objective, greedy_step, greedy_update, initial_state
-from doalab.linalg import projectors
 from doalab.methods import METHODS, estimate_method, pseudospectrum
 from doalab.scenario import (
     GroundTruth,
@@ -20,6 +19,7 @@ from doalab.scenario import (
     trial_rng,
 )
 from doalab.subspace import partition, sample_covariance
+from reference_linalg import projectors
 
 GIMUSIC_METHODS = ("omp-imusic", "ols-imusic", "omp-iwmusic", "ols-iwmusic")
 

@@ -13,7 +13,7 @@ from doalab.greedy import (
     greedy_update,
     initial_state,
 )
-from doalab.linalg import covariance_sqrt, hermitian_evd, projectors
+from doalab.linalg import covariance_sqrt, hermitian_evd
 from doalab.methods import METHODS, estimate_method
 from doalab.scenario import (
     GroundTruth,
@@ -25,6 +25,7 @@ from doalab.scenario import (
     trial_rng,
 )
 from doalab.subspace import partition, sample_covariance
+from reference_linalg import projectors
 
 
 def scenario_sqrt(seed, M=8, K=3, snr_db=30.0, N=256):
