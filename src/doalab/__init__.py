@@ -35,7 +35,6 @@ _EXPORTS = {
     "DoaGrid": "doalab.fastgrid",
     "Pseudospectrum": "doalab.fastgrid",
     "make_grid": "doalab.fastgrid",
-    "colnorms_sq_fft": "doalab.fastgrid",
     # subspace
     "SubspaceDecomposition": "doalab.subspace",
     "sample_covariance": "doalab.subspace",

@@ -1,38 +1,31 @@
-"""Search grid with FFT fast paths for column-norm objectives.
+"""Search grid with FFT fast paths for squared-norm objectives.
 
 Every estimator in the package scores candidate angles through squared
-column norms ``||A^H a(u)||^2`` evaluated over the whole grid.  For a
-half-wavelength ULA the grid steering matrix is a column permutation of a
-conjugated DFT matrix, which yields three fast evaluations:
+norms ``||A^H a(u)||^2`` over the whole grid.  The u-grid is uniform on
+[-1, 1) with spacing 2/N, so the steering phase at grid point p is
 
-* per-column: the norms are batched zero-padded FFTs of A's conjugated
-  columns — O(r N log N) instead of the O(r M N) direct product;
-* quadratic-form: ``||A^H a(u)||^2 = a(u)^H H a(u)`` with ``H = A A^H``,
-  and on the uniform grid that trigonometric polynomial is a single
-  length-N inverse FFT of H's diagonal sums — O(M^2 r + N log N) total,
-  independent of the operand width r everywhere past the Gram product; and
-* correlations: the complex values ``A^H a(u)`` themselves, split into
-  N/L twiddled inverse FFTs of length L >= M that land in angle order.
+    exp(j pi u_p m) = (-1)^m exp(j 2 pi p m / N),
 
-Spectral numerators take the per-column route, so every method's grid cost
-scales with the width of its own subspace operand.  Projector denominators
-take the quadratic-form route (a projector is its own Gram matrix).
-Reciprocal (noise-form) objectives combine the two: quadratic form for the
-bulk of the grid, per-column refinement below a small threshold, because
-their saturation test needs vanishing norms to come out as exact
-nonnegative sums of squares, whereas the quadratic form reaches zero by
-cancellation and can land a hair below it.  The greedy engine takes the
-correlation route.
+a signed inverse-DFT kernel.  That gives two fast routes for a
+half-wavelength ULA, both landing in ascending-angle order:
 
-The u-grid is uniform on [-1, 1) with spacing 2/N.  Writing the steering
-phase at grid point p as
+* correlations: the complex values ``A^H a(u)`` themselves, an N x r array
+  computed as N/L twiddled inverse FFTs of length L >= M (see
+  grid_correlations).  A squared norm is a squared row of it, so spectral
+  numerators and the greedy engine's scores both take this route, and each
+  method's grid cost scales with the width r of its own operand.
+* quadratic form: ``||A^H a(u)||^2 = a(u)^H H a(u)`` with ``H = A A^H``, a
+  trigonometric polynomial evaluated by a single length-N inverse FFT of H's
+  diagonal sums: O(M^2 r + N log N), independent of r past the Gram product.
 
-    exp(j pi u_p m) = exp(-j pi m) exp(j 2 pi p m / N)
-                    = exp(-j 2 pi m (N/2 - p) / N)
-
-identifies grid point p with DFT bin (N/2 - p) mod N.  That index map is an
-involution, so the same permutation converts bin order to angle order and
-back.
+Projector denominators take the quadratic form (a projector is its own Gram
+matrix), and so do reciprocal (noise-form) objectives, whose operands are
+the wide ones: there, every point below a small threshold is recomputed as
+an exact sum of squares, because their saturation test needs vanishing norms
+to come out nonnegative, whereas the quadratic form reaches zero by
+cancellation and can land a hair below it.  The direct evaluator, and any
+grid with another phase factor, takes the product with the stored steering
+matrix instead of the FFTs.
 """
 
 from __future__ import annotations
@@ -73,8 +66,6 @@ class DoaGrid:
     Attributes:
         N: Number of grid points.
         angles: The N angles, ascending, angles[p] = -1 + 2 p / N.
-        index_map: Permutation between FFT bin order and ascending-angle
-            order (it is its own inverse).
         M: Array element count the grid was built for.
         phase_factor: Element phase factor; the FFT path requires pi.
         steering: Precomputed M x N steering matrix on the grid, used by the
@@ -83,7 +74,6 @@ class DoaGrid:
 
     N: int
     angles: np.ndarray
-    index_map: np.ndarray
     M: int
     phase_factor: float
     steering: np.ndarray
@@ -125,47 +115,10 @@ def make_grid(N: int, M: int, phase_factor: float = math.pi) -> DoaGrid:
 @functools.lru_cache(maxsize=8)
 def _cached_grid(N: int, M: int, phase_factor: float) -> DoaGrid:
     angles = -1.0 + 2.0 * np.arange(N) / N
-    index_map = (N // 2 - np.arange(N)) % N
     steering = steering_matrix(angles, M, phase_factor)
-    for arr in (angles, index_map, steering):
+    for arr in (angles, steering):
         arr.flags.writeable = False
-    return DoaGrid(N, angles, index_map, M, phase_factor, steering)
-
-
-def colnorms_sq_direct(A: np.ndarray, grid: DoaGrid) -> np.ndarray:
-    """``||A^H a(u)||^2`` by direct product, squared in the product's own
-    buffer: fresh temporaries page-fault once the allocator returned them."""
-    proj = A.conj().T @ grid.steering
-    parts = proj.view(np.float64)
-    np.square(parts, out=parts)
-    sq = parts[:, 0::2]
-    sq += parts[:, 1::2]
-    return np.sum(sq, axis=0)
-
-
-def colnorms_sq_fft(A: np.ndarray, grid: DoaGrid) -> np.ndarray:
-    """``||A^H a(u)||^2`` over the grid via batched zero-padded FFTs.
-
-    Each column of A contributes the squared magnitude of the length-N FFT
-    of its conjugate; the accumulated bin-order powers are permuted to
-    ascending-angle order.  The batch runs with the columns contiguous and
-    the transform axis strided, which lets the FFT kernel vectorize across
-    columns; the batch width is padded to an odd count so the transform
-    stride never aliases power-of-two cache sets.  Falls back to the direct
-    product when the grid was built for a non-half-wavelength phase factor.
-    """
-    if grid.phase_factor != math.pi:
-        return colnorms_sq_direct(A, grid)
-    cols = A.shape[1]
-    if cols == 0:
-        return np.zeros(grid.N)
-    width = cols + 1 - cols % 2
-    buf = np.zeros((grid.N, width), dtype=complex)
-    buf[: A.shape[0], :cols] = np.conj(A)
-    spectra = sp_fft.fft(buf, axis=0, overwrite_x=True)
-    parts = spectra.view(np.float64).reshape(grid.N, 2 * width)[:, : 2 * cols]
-    power = np.einsum("pc,pc->p", parts, parts)
-    return power[grid.index_map]
+    return DoaGrid(N, angles, M, phase_factor, steering)
 
 
 # Cached flattened diagonal-offset indices for the Gram diagonal sums,
@@ -247,15 +200,6 @@ def _refined_colnorms_sq(A: np.ndarray, grid: DoaGrid) -> np.ndarray:
     return values
 
 
-def colnorms_sq(A: np.ndarray, grid: DoaGrid, evaluator: str = "fft") -> np.ndarray:
-    """Dispatch between the fft and direct column-norm evaluators."""
-    if evaluator == "fft":
-        return colnorms_sq_fft(A, grid)
-    if evaluator == "direct":
-        return colnorms_sq_direct(A, grid)
-    raise ValueError(f"unknown evaluator: {evaluator!r}")
-
-
 @functools.lru_cache(maxsize=8)
 def _split_twiddles(N: int, M: int) -> tuple:
     """(L, T): the smallest divisor L >= M of N, T[m, q] = (-1)^m w_N^(q m)."""
@@ -283,6 +227,17 @@ def grid_correlations(A: np.ndarray, grid: DoaGrid, evaluator: str = "fft") -> n
     buf = np.zeros((L, grid.N // L, r), dtype=complex)
     np.multiply(T[:, :, None], A.conj()[:, None, :], out=buf[:M])
     return sp_fft.ifft(buf, axis=0, norm="forward", overwrite_x=True).reshape(grid.N, r)
+
+
+def row_norms_sq(Z: np.ndarray) -> np.ndarray:
+    """Squared norms of the rows of a C-contiguous complex array."""
+    parts = Z.view(np.float64)
+    return np.einsum("pc,pc->p", parts, parts)
+
+
+def colnorms_sq(A: np.ndarray, grid: DoaGrid, evaluator: str = "fft") -> np.ndarray:
+    """``||A^H a(u)||^2`` over the grid: the squared rows of grid_correlations."""
+    return row_norms_sq(grid_correlations(A, grid, evaluator))
 
 
 def apply_form(values: np.ndarray, form: str, denom: np.ndarray, M: int) -> np.ndarray:
@@ -317,11 +272,12 @@ def objective_values(
             its inverse, with saturation; "ratio" divides it by the
             projected steering norm ``||Pc a||^2`` and "complement-ratio"
             is one minus that ratio, both masking degenerate candidates.
-        evaluator: "fft" or "direct"; both agree to 1e-8 relative.  On the
-            fft path, numerators ride per-column transforms, so each
-            method's cost scales with its own operand width; reciprocal
-            forms instead take the width-independent quadratic-form route
-            with exact refinement of near-null points.
+        evaluator: "fft" or "direct"; both agree to 1e-8 relative.  The
+            "norm" and ratio numerators are the squared rows of
+            grid_correlations, so each method's cost scales with its own
+            operand width; on the fft path, reciprocal forms instead take
+            the width-independent quadratic-form route with exact
+            refinement of near-null points.
         pc: Orthogonal-complement projector, required by ratio forms; it is
             Hermitian idempotent, hence its own Gram matrix, so on the fft
             path the denominator ``||Pc a||^2 = a^H Pc a`` is a single

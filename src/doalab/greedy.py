@@ -37,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg.blas import zgeru
 
-from doalab.fastgrid import MASK_RTOL, DoaGrid, apply_form, grid_correlations
+from doalab.fastgrid import MASK_RTOL, DoaGrid, apply_form, grid_correlations, row_norms_sq
 from doalab.scenario import steering_vector
 
 
@@ -82,9 +82,7 @@ def initial_state(X: np.ndarray, grid: DoaGrid, evaluator: str = "fft") -> Greed
 def greedy_objective(state: GreedyState, form: str) -> np.ndarray:
     """Scores for the next angle in ``form`` ("norm", "ratio" or
     "complement-ratio"); ratio forms mask degenerate candidates with -inf."""
-    parts = state.Z.view(np.float64)
-    values = np.einsum("pc,pc->p", parts, parts)
-    return apply_form(values, form, state.d, state.res.shape[0])
+    return apply_form(row_norms_sq(state.Z), form, state.d, state.res.shape[0])
 
 
 def greedy_update(state: GreedyState, new_angle: float) -> None:

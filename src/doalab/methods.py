@@ -137,6 +137,9 @@ def estimate_method(
     Raises:
         ValueError: On an unknown method id, K outside 0 <= K < M, or
             ``emulate_evd_per_iter`` with a spectral method.
+        numpy.linalg.LinAlgError: From a greedy method, if a selected
+            angle's steering vector lies within rounding of the selected
+            span (see :func:`doalab.greedy.greedy_update`).
     """
     if method not in METHODS:
         raise ValueError(f"unknown method id: {method!r}")

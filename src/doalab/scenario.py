@@ -72,6 +72,10 @@ class ScenarioConfig:
             raise ValueError("subcarriers and symbols must be >= 1")
         if self.grid_points < 2 * self.antennas:
             raise ValueError("grid_points must be >= 2 * antennas")
+        if self.grid_points % 2:
+            raise ValueError("grid_points must be even")
+        if not (math.isfinite(self.element_phase_factor) and self.element_phase_factor > 0):
+            raise ValueError("element_phase_factor must be finite and > 0")
         if not (self.snr_db == math.inf or math.isfinite(self.snr_db)):
             raise ValueError("snr_db must be finite or +inf")
 

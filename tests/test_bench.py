@@ -9,6 +9,8 @@ from time import perf_counter, sleep
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 import doalab.bench as bench
@@ -32,6 +34,7 @@ from doalab.methods import METHOD_IDS, estimate_method
 from doalab.scenario import (
     ScenarioConfig,
     draw_targets,
+    steering_matrix,
     synthesize_observation,
     trial_rng,
 )
@@ -178,6 +181,60 @@ def test_zero_covariance_yields_distinct_grid_angles(method, evaluator):
     est = estimate_method(method, np.zeros((8, 8), dtype=complex), 3, grid, evaluator)
     assert est.size == 3 and len(set(est)) == 3
     assert np.isin(est, grid.angles).all()
+
+
+CONTRACT_CASES = ("scaled", "k-max", "low-rank", "zero", "non-pi", "coincident")
+
+
+@st.composite
+def contract_scenes(draw):
+    """(case, R, K, grid): one stress case of the estimate contract.
+
+    "scaled" multiplies R by 1e-250 or 1e250; "k-max" asks for K = M-1;
+    "low-rank" is noiseless with fewer targets than K; "zero" is R = 0;
+    "non-pi" builds array and grid with phase factor 2.5; "coincident" puts
+    two or more targets on one angle.
+    """
+    case = draw(st.sampled_from(CONTRACT_CASES))
+    M = draw(st.integers(3, 16))
+    K = M - 1 if case == "k-max" else draw(st.integers(2 if case == "low-rank" else 1, M - 1))
+    phase_factor = 2.5 if case == "non-pi" else math.pi
+    grid = make_grid(draw(st.sampled_from((2 * M, 4 * M, 256))), M, phase_factor)
+    if case == "zero":
+        return case, np.zeros((M, M), dtype=complex), K, grid
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if case == "low-rank":
+        angles = rng.uniform(-1.0, 1.0, draw(st.integers(1, K - 1)))
+    elif case == "coincident":
+        distinct = rng.uniform(-1.0, 1.0, draw(st.integers(1, max(1, K - 1))))
+        angles = distinct[np.arange(max(K, 2)) % distinct.size]
+    else:
+        angles = rng.uniform(-1.0, 1.0, K)
+    A = steering_matrix(angles, M, phase_factor)
+    noise = 0.0 if case == "low-rank" else draw(st.sampled_from((0.0, 1e-3, 1.0)))
+    R = (A * 10.0 ** rng.uniform(-1.0, 1.0, angles.size)) @ A.conj().T + noise * np.eye(M)
+    if case == "scaled":
+        R = R * draw(st.sampled_from((1e-250, 1e250)))
+    return case, 0.5 * (R + R.conj().T), K, grid
+
+
+@pytest.mark.parametrize("evaluator", ["fft", "direct"])
+@pytest.mark.parametrize("method", METHOD_IDS)
+@settings(max_examples=40, deadline=None)
+@given(scene=contract_scenes())
+def test_estimates_meet_the_contract(method, evaluator, scene):
+    # K distinct angles of the grid, or the near-duplicate selection error
+    # estimate_method documents; never a silent guess or a numpy warning.
+    case, R, K, grid = scene
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        try:
+            est = estimate_method(method, R, K, grid, evaluator)
+        except np.linalg.LinAlgError as exc:
+            assert "rank-deficient selection" in str(exc), case
+            return
+    assert est.shape == (K,) and len(set(est.tolist())) == K, case
+    assert np.isin(est, grid.angles).all(), case
 
 
 def test_hermitian_guard_holds_at_extreme_scales(campaign_scene):
@@ -561,6 +618,42 @@ def test_parse_config_rejects(tmp_path, mutation, message):
     assert old in GOOD_CONFIG
     with pytest.raises(ConfigError, match=message):
         parse_config(write_config(tmp_path, GOOD_CONFIG.replace(old, new)))
+
+
+@pytest.fixture
+def no_trials(monkeypatch):
+    """Fail the test if a sweep runs any trial."""
+
+    def fail(*args, **kwargs):
+        raise AssertionError("a trial ran")
+
+    monkeypatch.setattr(bench, "run_trial", fail)
+
+
+@pytest.mark.parametrize(
+    "line,message",
+    [
+        ("grid_points = 257", "grid_points must be even"),
+        ("element_phase_factor = inf", "element_phase_factor"),
+        ("element_phase_factor = 0", "element_phase_factor"),
+        ("element_phase_factor = -3.14", "element_phase_factor"),
+    ],
+)
+def test_bad_grid_config_exits_before_any_trial(tmp_path, capsys, no_trials, line, message):
+    text = GOOD_CONFIG.replace("grid_points = 256", line)
+    with pytest.raises(ConfigError, match=message):
+        parse_config(write_config(tmp_path, text))
+    out = tmp_path / "x.csv"
+    argv = ["sweep", "--config", write_config(tmp_path, text), "--out", str(out), "--serial"]
+    assert main(argv) == 1
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_run_sweep_rejects_odd_grid_before_any_trial(no_trials):
+    spec = sweep_spec(base=ScenarioConfig(grid_points=2049))
+    with pytest.raises(ValueError, match="grid_points must be even"):
+        run_sweep(spec, serial=True)
 
 
 def test_parse_config_missing_pieces(tmp_path):

@@ -1,4 +1,4 @@
-"""Grid construction and FFT-accelerated column-norm objectives."""
+"""Grid construction, the grid correlations and the objectives scored on them."""
 
 import math
 
@@ -10,8 +10,6 @@ from doalab import fastgrid, linalg
 from doalab.fastgrid import (
     SAT_VALUE,
     colnorms_sq,
-    colnorms_sq_direct,
-    colnorms_sq_fft,
     grid_correlations,
     make_grid,
     objective_values,
@@ -32,16 +30,6 @@ def test_make_grid_structure():
     np.testing.assert_allclose(grid.steering, steering_matrix(grid.angles, 8))
 
 
-def test_make_grid_index_map_is_involution():
-    for N in (16, 64, 256):
-        grid = make_grid(N, 4)
-        np.testing.assert_array_equal(
-            grid.index_map[grid.index_map], np.arange(N)
-        )
-        # The map is a bijection onto 0..N-1.
-        assert len(set(grid.index_map.tolist())) == N
-
-
 def test_make_grid_validation():
     with pytest.raises(ValueError, match=">= 2\\*M"):
         make_grid(8, 8)
@@ -54,7 +42,7 @@ def test_make_grid_is_cached_and_read_only():
     assert make_grid(128, 8) is grid
     assert make_grid(128, 8, math.pi) is grid
     assert make_grid(128, 8, phase_factor=2.5) is not grid
-    for arr in (grid.angles, grid.index_map, grid.steering):
+    for arr in (grid.angles, grid.steering):
         with pytest.raises(ValueError, match="read-only"):
             arr[0] = 0
 
@@ -79,7 +67,21 @@ def test_direct_evaluator_matches_brute_force(seed):
     grid = make_grid(4 * M, M)
     A = random_complex(rng, M, r)
     np.testing.assert_allclose(
-        colnorms_sq_direct(A, grid), brute_colnorms(A, grid), rtol=1e-10
+        colnorms_sq(A, grid, "direct"), brute_colnorms(A, grid), rtol=1e-10
+    )
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_fft_evaluator_matches_brute_force(seed):
+    # Same draws as the direct test above; N = 4M is a split of length
+    # L = M, and odd M exercise an odd transform length.
+    rng = np.random.default_rng(seed)
+    M = int(rng.integers(2, 12))
+    r = int(rng.integers(1, M + 1))
+    grid = make_grid(4 * M, M)
+    A = random_complex(rng, M, r)
+    np.testing.assert_allclose(
+        colnorms_sq(A, grid, "fft"), brute_colnorms(A, grid), rtol=1e-10
     )
 
 
@@ -91,8 +93,8 @@ def test_fft_matches_direct_pointwise_and_argmax(seed):
     N = 2 ** int(rng.integers(math.ceil(math.log2(2 * M)), 12))
     grid = make_grid(N, M)
     A = random_complex(rng, M, r)
-    fast = colnorms_sq_fft(A, grid)
-    slow = colnorms_sq_direct(A, grid)
+    fast = colnorms_sq(A, grid, "fft")
+    slow = colnorms_sq(A, grid, "direct")
     scale = slow.max()
     np.testing.assert_allclose(fast, slow, rtol=0, atol=1e-8 * scale)
     assert np.argmax(fast) == np.argmax(slow)
@@ -104,8 +106,8 @@ def test_fft_handles_wide_operands():
     grid = make_grid(128, 8)
     A = random_complex(rng, 8, 8)
     np.testing.assert_allclose(
-        colnorms_sq_fft(A, grid),
-        colnorms_sq_direct(A, grid),
+        colnorms_sq(A, grid, "fft"),
+        colnorms_sq(A, grid, "direct"),
         rtol=1e-9,
     )
 
@@ -115,20 +117,21 @@ def test_non_halfwavelength_grid_falls_back_to_direct():
     grid = make_grid(64, 8, phase_factor=2.5)
     A = random_complex(rng, 8, 3)
     np.testing.assert_array_equal(
-        colnorms_sq_fft(A, grid), colnorms_sq_direct(A, grid)
+        colnorms_sq(A, grid, "fft"), colnorms_sq(A, grid, "direct")
     )
 
 
 def test_colnorms_dispatch_and_unknown_evaluator():
+    # Column norms are the squared rows of the grid correlations on both
+    # evaluators.
     rng = np.random.default_rng(2)
     grid = make_grid(32, 4)
     A = random_complex(rng, 4, 2)
-    np.testing.assert_array_equal(
-        colnorms_sq(A, grid, "fft"), colnorms_sq_fft(A, grid)
-    )
-    np.testing.assert_array_equal(
-        colnorms_sq(A, grid, "direct"), colnorms_sq_direct(A, grid)
-    )
+    for evaluator in ("fft", "direct"):
+        Z = grid_correlations(A, grid, evaluator)
+        np.testing.assert_array_equal(
+            colnorms_sq(A, grid, evaluator), fastgrid.row_norms_sq(Z)
+        )
     with pytest.raises(ValueError, match="evaluator"):
         colnorms_sq(A, grid, "clever")
 
@@ -140,7 +143,7 @@ def test_single_steering_column_concentrates_power():
     grid = make_grid(N, M)
     p0 = 96
     A = steering_vector(grid.angles[p0], M).reshape(M, 1)
-    vals = colnorms_sq_fft(A, grid)
+    vals = colnorms_sq(A, grid, "fft")
     assert np.argmax(vals) == p0
     np.testing.assert_allclose(vals[p0], M * M, rtol=1e-12)
     orth = p0 + N // M  # one full beamwidth away
@@ -163,10 +166,19 @@ def test_grid_correlations_match_brute_force(M, phase_factor):
         assert Z.shape == (64, 3) and Z.flags.c_contiguous
         np.testing.assert_allclose(Z, brute, rtol=0, atol=1e-12 * np.abs(brute).max())
         np.testing.assert_allclose(
-            np.sum(np.abs(Z) ** 2, axis=1), colnorms_sq_direct(A, grid), rtol=1e-12
+            np.sum(np.abs(Z) ** 2, axis=1), brute_colnorms(A, grid), rtol=1e-12
         )
     with pytest.raises(ValueError, match="evaluator"):
         grid_correlations(A, grid, "clever")
+
+
+@pytest.mark.parametrize("phase_factor", [math.pi, 2.5])
+@pytest.mark.parametrize("evaluator", ["fft", "direct"])
+def test_zero_width_operand_scores_zero(evaluator, phase_factor):
+    grid = make_grid(64, 8, phase_factor)
+    A = np.empty((8, 0), dtype=complex)
+    assert grid_correlations(A, grid, evaluator).shape == (64, 0)
+    np.testing.assert_array_equal(colnorms_sq(A, grid, evaluator), np.zeros(64))
 
 
 # ---------------------------------------------------------------- quadratic form
@@ -204,7 +216,7 @@ def test_quadform_of_projector_matches_its_column_norms():
     sel = grid.angles[[37, 201, 455]]
     _, Pc = projectors(steering_matrix(sel, M))
     vals = quadform_fft(Pc, grid)
-    ref = colnorms_sq_direct(Pc, grid)
+    ref = colnorms_sq(Pc, grid, "direct")
     np.testing.assert_allclose(vals, ref, rtol=0, atol=1e-10 * ref.max())
     assert np.all(vals >= 0.0)
     # Selected angles land within round-off of zero, far below the ratio
@@ -238,7 +250,7 @@ def test_norm_form_passthrough():
     grid = make_grid(64, 8)
     A = random_complex(rng, 8, 3)
     np.testing.assert_array_equal(
-        objective_values(A, grid, "norm"), colnorms_sq_fft(A, grid)
+        objective_values(A, grid, "norm"), colnorms_sq(A, grid, "fft")
     )
 
 
@@ -258,7 +270,7 @@ def test_reciprocal_form_saturates_vanishing_denominator():
     finite = np.delete(vals, p0)
     assert np.all(finite > 0) and np.all(finite < SAT_VALUE)
     # Reciprocal really is 1/norm away from saturation.
-    norms = colnorms_sq_direct(G, grid)
+    norms = colnorms_sq(G, grid, "direct")
     np.testing.assert_allclose(finite, 1.0 / np.delete(norms, p0), rtol=1e-8)
 
 
@@ -313,8 +325,8 @@ def test_complement_ratio_form():
     mask = np.isfinite(plain)
     # complement-ratio = 1 - num_norms/denom for SOME numerator; here just
     # verify the algebraic relation between the two forms' shared pieces.
-    denom = colnorms_sq_fft(Pc, grid)
-    norms = colnorms_sq_fft(num, grid)
+    denom = colnorms_sq(Pc, grid, "fft")
+    norms = colnorms_sq(num, grid, "fft")
     np.testing.assert_allclose(comp[mask], 1.0 - norms[mask] / denom[mask], rtol=1e-9)
     assert comp[p_sel] == -np.inf
 

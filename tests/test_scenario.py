@@ -60,6 +60,23 @@ def test_config_rejects_bad_values(overrides):
         small_cfg(**overrides).validate()
 
 
+@pytest.mark.parametrize(
+    "overrides,message",
+    [
+        (dict(grid_points=257), "even"),
+        (dict(element_phase_factor=math.inf), "element_phase_factor"),
+        (dict(element_phase_factor=math.nan), "element_phase_factor"),
+        (dict(element_phase_factor=0.0), "element_phase_factor"),
+        (dict(element_phase_factor=-math.pi), "element_phase_factor"),
+    ],
+)
+def test_config_rejects_bad_grids(overrides, message):
+    # make_grid would reject an odd size only once trials run, and a zero or
+    # non-finite phase factor makes every steering vector degenerate.
+    with pytest.raises(ValueError, match=message):
+        small_cfg(**overrides).validate()
+
+
 def test_config_derived_quantities():
     cfg = small_cfg(subcarriers=40, symbols=5, subcarrier_spacing_hz=1e5)
     assert cfg.snapshots == 200
