@@ -105,7 +105,7 @@ class SweepSpec:
             raise ValueError("order_criterion must be one token or one per method")
         for c in crits:
             if c not in ORDER_CRITERIA:
-                raise ValueError(f"unknown order criterion: {c!r}")
+                raise ValueError(f"unknown order criterion in order_criterion: {c!r}")
         if self.evaluator not in EVALUATORS:
             raise ValueError(f"unknown evaluator: {self.evaluator!r}")
         self.base.validate()
@@ -257,9 +257,8 @@ def run_trial(
 
 
 def _apply_sweep_value(base: ScenarioConfig, parameter: str, value) -> ScenarioConfig:
-    if parameter == "snr_db":
-        return replace(base, snr_db=float(value))
-    return replace(base, **{parameter: int(value)})
+    kind = get_type_hints(ScenarioConfig)[parameter]
+    return replace(base, **{parameter: kind(value)})
 
 
 def _run_chunk(tasks):

@@ -37,6 +37,8 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _build_parser() -> _Parser:
+    from doalab.bench import EVALUATORS
+
     parser = _Parser(prog="doalab", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -55,9 +57,9 @@ def _build_parser() -> _Parser:
     )
     sweep.add_argument(
         "--evaluator",
-        choices=("fft", "direct"),
         default=None,
-        help="override the grid evaluator",
+        help=f"override the config's grid evaluator ({' or '.join(EVALUATORS)}); "
+        "SweepSpec.validate rejects any other before a trial runs",
     )
 
     sub.add_parser("demo", help="pretty-print one trial of every method")
@@ -124,10 +126,7 @@ def main(argv=None) -> int:
         else:
             _cmd_demo()
         return 0
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
+    except (ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:

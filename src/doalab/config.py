@@ -1,9 +1,15 @@
 """Plain-text configuration files for the benchmark CLI.
 
-Two INI-style sections mirror the library's configuration objects field for
-field: ``[scenario]`` for the scene being simulated and ``[sweep]`` for the
-campaign.  Unknown sections or keys are hard errors — a typo should never
-silently benchmark the wrong thing.
+Two INI-style sections name the fields of the library's configuration
+objects: ``[scenario]`` those of ``ScenarioConfig`` and ``[sweep]`` those of
+``SweepSpec`` but ``base``.  Keys, value types and defaults are the
+dataclasses' own: a field's annotation says how its text is read (``int``,
+``float``, a comma list for ``tuple``; ``values`` takes the type of the
+swept field), and an omitted key keeps the field's default.  Every check of
+a value is the dataclasses' ``validate``.  Only the rules that belong to
+files live here: unknown sections or keys are hard errors — a typo should
+never silently benchmark the wrong thing — the fields without a default are
+required, and ``grid_points`` must be a power of two.
 
 Example::
 
@@ -29,9 +35,10 @@ from __future__ import annotations
 import configparser
 import math
 import os
+from dataclasses import MISSING, fields
+from typing import get_type_hints
 
-from doalab.bench import EVALUATORS, ORDER_CRITERIA, SWEEP_PARAMETERS, SweepSpec
-from doalab.methods import METHOD_IDS
+from doalab.bench import SweepSpec
 from doalab.scenario import ScenarioConfig
 
 
@@ -39,39 +46,32 @@ class ConfigError(Exception):
     """A configuration file or option the benchmark cannot accept."""
 
 
-_SCENARIO_INT = ("targets", "antennas", "subcarriers", "symbols", "grid_points", "seed")
-_SCENARIO_FLOAT = (
-    "snr_db",
-    "carrier_freq_hz",
-    "subcarrier_spacing_hz",
-    "max_range_m",
-    "element_phase_factor",
-)
-_SCENARIO_KEYS = set(_SCENARIO_INT) | set(_SCENARIO_FLOAT)
-_SWEEP_KEYS = {"parameter", "values", "trials", "methods", "order_criterion", "evaluator"}
-_INT_PARAMETERS = ("targets", "subcarriers", "antennas")
+def _parse(section: str, key: str, kind, raw: str):
+    """``raw`` read as the declared type ``kind``: a ``tuple`` is a comma
+    list, and for ``str | tuple`` a single token stays a ``str``."""
+    if kind is int or kind is float:
+        try:
+            value = kind(raw)
+        except ValueError:
+            expected = "an integer" if kind is int else "a number"
+            raise ConfigError(f"[{section}] {key}: expected {expected}, got {raw!r}") from None
+        if math.isnan(value):
+            raise ConfigError(f"[{section}] {key}: nan is not a valid value")
+        return value
+    if kind is str:
+        return raw.strip()
+    items = tuple(item.strip() for item in raw.split(",") if item.strip())
+    return items[0] if kind is not tuple and len(items) == 1 else items
 
 
-def _parse_int(section: str, key: str, raw: str) -> int:
-    try:
-        return int(raw)
-    except ValueError:
-        raise ConfigError(f"[{section}] {key}: expected an integer, got {raw!r}") from None
-
-
-def _parse_float(section: str, key: str, raw: str) -> float:
-    try:
-        value = float(raw)
-    except ValueError:
-        raise ConfigError(f"[{section}] {key}: expected a number, got {raw!r}") from None
-    if math.isnan(value):
-        raise ConfigError(f"[{section}] {key}: nan is not a valid value")
-    return value
-
-
-def _split_list(raw: str) -> list:
-    items = [item.strip() for item in raw.split(",")]
-    return [item for item in items if item]
+def _section(parser, section: str, types: dict) -> dict:
+    """The section's values by key, each key a field of ``types``."""
+    values = {}
+    for key, raw in parser.items(section) if parser.has_section(section) else ():
+        if key not in types:
+            raise ConfigError(f"unknown [{section}] key: {key!r}")
+        values[key] = _parse(section, key, types[key], raw)
+    return values
 
 
 def parse_config(path: str) -> SweepSpec:
@@ -79,7 +79,8 @@ def parse_config(path: str) -> SweepSpec:
 
     Raises:
         ConfigError: On unreadable files, unknown sections/keys, malformed
-            values, or any structural invariant breach.
+            values, or any failure of ``ScenarioConfig.validate`` or
+            ``SweepSpec.validate``.
     """
     if not os.path.isfile(path):
         raise ConfigError(f"config file not found: {path}")
@@ -100,18 +101,8 @@ def parse_config(path: str) -> SweepSpec:
     if "sweep" not in parser.sections():
         raise ConfigError("missing required [sweep] section")
 
-    scenario_kwargs = {}
-    if parser.has_section("scenario"):
-        for key, raw in parser.items("scenario"):
-            if key not in _SCENARIO_KEYS:
-                raise ConfigError(f"unknown [scenario] key: {key!r}")
-            if key in _SCENARIO_INT:
-                scenario_kwargs[key] = _parse_int("scenario", key, raw)
-            elif key == "snr_db" and raw.strip().lower() in ("inf", "+inf", "infinity"):
-                scenario_kwargs[key] = math.inf
-            else:
-                scenario_kwargs[key] = _parse_float("scenario", key, raw)
-    base = ScenarioConfig(**scenario_kwargs)
+    scenario_types = get_type_hints(ScenarioConfig)
+    base = ScenarioConfig(**_section(parser, "scenario", scenario_types))
     try:
         base.validate()
     except ValueError as exc:
@@ -120,67 +111,18 @@ def parse_config(path: str) -> SweepSpec:
     if n & (n - 1):
         raise ConfigError(f"[scenario] grid_points must be a power of two, got {n}")
 
-    sweep_raw = dict(parser.items("sweep"))
-    unknown = set(sweep_raw) - _SWEEP_KEYS
-    if unknown:
-        raise ConfigError(f"unknown [sweep] key(s): {sorted(unknown)}")
-    for required in ("parameter", "values", "methods"):
-        if required not in sweep_raw:
-            raise ConfigError(f"missing required [sweep] key: {required!r}")
+    sweep_types = get_type_hints(SweepSpec)
+    del sweep_types["base"]
+    sweep = _section(parser, "sweep", sweep_types)
+    for f in fields(SweepSpec):
+        if f.name in sweep_types and f.default is MISSING and f.name not in sweep:
+            raise ConfigError(f"missing required [sweep] key: {f.name!r}")
+    kind = scenario_types.get(sweep["parameter"], str)
+    sweep["values"] = tuple(_parse("sweep", "values", kind, v) for v in sweep["values"])
 
-    parameter = sweep_raw["parameter"].strip()
-    if parameter not in SWEEP_PARAMETERS:
-        raise ConfigError(
-            f"[sweep] parameter must be one of {SWEEP_PARAMETERS}, got {parameter!r}"
-        )
-
-    values = []
-    for item in _split_list(sweep_raw["values"]):
-        if parameter == "snr_db":
-            if item.lower() in ("inf", "+inf", "infinity"):
-                values.append(math.inf)
-            else:
-                values.append(_parse_float("sweep", "values", item))
-        else:
-            values.append(_parse_int("sweep", "values", item))
-    if not values:
-        raise ConfigError("[sweep] values must be non-empty")
-
-    methods = tuple(_split_list(sweep_raw["methods"]))
-    for m in methods:
-        if m not in METHOD_IDS:
-            raise ConfigError(f"[sweep] unknown method id: {m!r}")
-
-    trials = _parse_int("sweep", "trials", sweep_raw["trials"]) if "trials" in sweep_raw else 500
-
-    order_criterion: str | tuple = "true-k"
-    if "order_criterion" in sweep_raw:
-        tokens = _split_list(sweep_raw["order_criterion"])
-        for token in tokens:
-            if token not in ORDER_CRITERIA:
-                raise ConfigError(
-                    f"[sweep] order_criterion must be from {ORDER_CRITERIA}, got {token!r}"
-                )
-        if len(tokens) == 1:
-            order_criterion = tokens[0]
-        else:
-            order_criterion = tuple(tokens)
-
-    evaluator = sweep_raw.get("evaluator", "fft").strip()
-    if evaluator not in EVALUATORS:
-        raise ConfigError(f"[sweep] evaluator must be one of {EVALUATORS}, got {evaluator!r}")
-
-    spec = SweepSpec(
-        parameter=parameter,
-        values=tuple(values),
-        methods=methods,
-        base=base,
-        trials=trials,
-        order_criterion=order_criterion,
-        evaluator=evaluator,
-    )
+    spec = SweepSpec(base=base, **sweep)
     try:
         spec.validate()
     except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+        raise ConfigError(f"[sweep]: {exc}") from None
     return spec

@@ -40,11 +40,13 @@ class ScenarioConfig:
         carrier_freq_hz: Carrier frequency.
         subcarrier_spacing_hz: Subcarrier spacing; the symbol period is its
             reciprocal.
-        max_range_m: Upper end of the uniform range draw.
+        max_range_m: Upper end of the uniform range draw, at least
+            MIN_RANGE_M.
         grid_points: Search-grid size N used by the estimators; target draws
             enforce a minimum angular gap of 2/N.
-        element_phase_factor: Phase advance per element index per unit u
-            (pi for half-wavelength spacing).
+        element_phase_factor: Phase advance per element index per unit u,
+            in (0, pi]: pi for half-wavelength spacing.  Above pi the
+            steering vectors alias across the u-grid (grating lobes).
         seed: Base seed for all randomness.
     """
 
@@ -74,8 +76,13 @@ class ScenarioConfig:
             raise ValueError("grid_points must be >= 2 * antennas")
         if self.grid_points % 2:
             raise ValueError("grid_points must be even")
-        if not (math.isfinite(self.element_phase_factor) and self.element_phase_factor > 0):
-            raise ValueError("element_phase_factor must be finite and > 0")
+        if not 0 < self.element_phase_factor <= math.pi:
+            raise ValueError("element_phase_factor must be in (0, pi]")
+        for name in ("carrier_freq_hz", "subcarrier_spacing_hz"):
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and > 0")
+        if not MIN_RANGE_M <= self.max_range_m < math.inf:
+            raise ValueError(f"max_range_m must be finite and >= {MIN_RANGE_M:g}")
         if not (self.snr_db == math.inf or math.isfinite(self.snr_db)):
             raise ValueError("snr_db must be finite or +inf")
 

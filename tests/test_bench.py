@@ -5,6 +5,7 @@ import multiprocessing
 import os
 import warnings
 from dataclasses import replace
+from pathlib import Path
 from time import perf_counter, sleep
 
 import numpy as np
@@ -589,6 +590,58 @@ def test_parse_config_defaults(tmp_path):
     assert spec.base == ScenarioConfig()
 
 
+def test_parse_config_round_trips_every_field(tmp_path):
+    # Every field but base set away from its default.
+    base = ScenarioConfig(
+        targets=3,
+        antennas=12,
+        subcarriers=64,
+        symbols=2,
+        snr_db=12.5,
+        carrier_freq_hz=2.4e9,
+        subcarrier_spacing_hz=15e3,
+        max_range_m=80.0,
+        grid_points=512,
+        element_phase_factor=2.5,
+        seed=9,
+    )
+    spec = SweepSpec(
+        parameter="antennas",
+        values=(8, 12),
+        methods=("omp", "ols-iwmusic", "wmusic-noise"),
+        base=base,
+        trials=7,
+        order_criterion=("hybrid", "rank-aic", "true-k"),
+        evaluator="direct",
+    )
+    defaults = ScenarioConfig()
+    assert all(value != getattr(defaults, key) for key, value in vars(base).items())
+    lines = ["[scenario]"] + [f"{key} = {value!r}" for key, value in vars(base).items()]
+    lines += [
+        "[sweep]",
+        "parameter = antennas",
+        "values = 8, 12",
+        "methods = omp, ols-iwmusic, wmusic-noise",
+        "trials = 7",
+        "order_criterion = hybrid, rank-aic, true-k",
+        "evaluator = direct",
+    ]
+    assert parse_config(write_config(tmp_path, "\n".join(lines))) == spec
+
+
+def test_parse_config_reads_the_demo_config():
+    demo = Path(__file__).resolve().parents[1] / "demos" / "snr_sweep.cfg"
+    assert parse_config(str(demo)) == SweepSpec(
+        parameter="snr_db",
+        values=(0.0, 10.0, 20.0, 30.0, 40.0),
+        methods=("music-noise", "omp", "ols", "omp-imusic", "ols-imusic"),
+        base=ScenarioConfig(targets=8, antennas=16, subcarriers=256, symbols=4, seed=1),
+        trials=100,
+        order_criterion="true-k",
+        evaluator="fft",
+    )
+
+
 @pytest.mark.parametrize(
     "mutation,message",
     [
@@ -637,6 +690,12 @@ def no_trials(monkeypatch):
         ("element_phase_factor = inf", "element_phase_factor"),
         ("element_phase_factor = 0", "element_phase_factor"),
         ("element_phase_factor = -3.14", "element_phase_factor"),
+        ("element_phase_factor = 3.5", "element_phase_factor"),
+        ("element_phase_factor = 4.0", "element_phase_factor"),
+        ("subcarrier_spacing_hz = 0", "subcarrier_spacing_hz"),
+        ("carrier_freq_hz = inf", "carrier_freq_hz"),
+        ("max_range_m = inf", "max_range_m"),
+        ("max_range_m = 3", "max_range_m"),
     ],
 )
 def test_bad_grid_config_exits_before_any_trial(tmp_path, capsys, no_trials, line, message):
@@ -647,6 +706,15 @@ def test_bad_grid_config_exits_before_any_trial(tmp_path, capsys, no_trials, lin
     argv = ["sweep", "--config", write_config(tmp_path, text), "--out", str(out), "--serial"]
     assert main(argv) == 1
     assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cli_unknown_evaluator_exits_before_any_trial(tmp_path, capsys, no_trials):
+    out = tmp_path / "x.csv"
+    argv = ["sweep", "--config", write_config(tmp_path, CLI_CONFIG), "--out", str(out)]
+    assert main(argv + ["--evaluator", "gpu"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "evaluator" in err
     assert not out.exists()
 
 

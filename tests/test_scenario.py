@@ -68,11 +68,24 @@ def test_config_rejects_bad_values(overrides):
         (dict(element_phase_factor=math.nan), "element_phase_factor"),
         (dict(element_phase_factor=0.0), "element_phase_factor"),
         (dict(element_phase_factor=-math.pi), "element_phase_factor"),
+        (dict(element_phase_factor=3.5), "element_phase_factor"),
+        (dict(element_phase_factor=4.0), "element_phase_factor"),
+        (dict(subcarrier_spacing_hz=0.0), "subcarrier_spacing_hz"),
+        (dict(subcarrier_spacing_hz=-78125.0), "subcarrier_spacing_hz"),
+        (dict(subcarrier_spacing_hz=math.inf), "subcarrier_spacing_hz"),
+        (dict(carrier_freq_hz=math.inf), "carrier_freq_hz"),
+        (dict(carrier_freq_hz=math.nan), "carrier_freq_hz"),
+        (dict(carrier_freq_hz=0.0), "carrier_freq_hz"),
+        (dict(max_range_m=math.inf), "max_range_m"),
+        (dict(max_range_m=math.nan), "max_range_m"),
+        (dict(max_range_m=3.0), "max_range_m"),
     ],
 )
 def test_config_rejects_bad_grids(overrides, message):
     # make_grid would reject an odd size only once trials run, and a zero or
-    # non-finite phase factor makes every steering vector degenerate.
+    # non-finite phase factor makes every steering vector degenerate; above
+    # pi they alias across the grid.  Bad scene physics would fail inside
+    # every trial's draw or synthesis instead of before the sweep.
     with pytest.raises(ValueError, match=message):
         small_cfg(**overrides).validate()
 
