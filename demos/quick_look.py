@@ -64,7 +64,7 @@ def main():
     }
     print("\nestimates (sorted, sin domain; J = hits minus false alarms, 1 is perfect):")
     for name, est in estimates.items():
-        det = detection_metrics(associate(truth.doas, est), cfg.targets, cfg.antennas)
+        det = detection_metrics(associate(truth.doas, est), cfg.antennas)
         angles = ", ".join(f"{u:+.4f}" for u in np.sort(est))
         print(f"  {name:<12} J={det.youden_j:+.2f}  {angles}")
     print("\nOne trial proves nothing — run demos/snr_sweep.py for the Monte Carlo view.")

@@ -45,6 +45,8 @@ EVALUATORS = ("fft", "direct")
 # Fraction of per-method trial failures at one sweep point that triggers a
 # sweep warning.
 FAILURE_WARN_FRACTION = 0.05
+# Fraction of timings dropped from each end before averaging mean_time_ms.
+TRIM_FRACTION = 0.05
 # Trials per chunk handed to a spawned child, and chunks a child may hold at
 # once: enough to keep it busy between the caller's own trials, few enough
 # that the caller's shared cursor takes the rest.
@@ -214,7 +216,7 @@ def run_trial(
             hyb = hybrid_order(covariance_sqrt(evd), grid, M - 1, base, L, evaluator)
             k_by_criterion["hybrid"] = hyb.k_hat
 
-    raw = {}
+    raw, assocs = {}, {}
     for method, crit in zip(methods, criteria):
         k_hat = k_by_criterion[crit]
         start = perf_counter()
@@ -226,13 +228,13 @@ def run_trial(
             est = np.empty(0, dtype=float)
             seconds = math.nan
             error = f"{type(exc).__name__}: {exc}"
-        raw[method] = (k_hat, seconds, est, error, associate(truth.doas, est))
+        raw[method] = (k_hat, seconds, est, error)
+        assocs[method] = associate(truth.doas, est)
 
-    assocs = {m: r[4] for m, r in raw.items()}
-    rmse = rmse_common_hits(assocs, truth.doas, M)
+    rmse = rmse_common_hits(assocs, M)
     outcomes = {}
-    for method, (k_hat, seconds, est, error, assoc) in raw.items():
-        det = detection_metrics(assoc, cfg.targets, M)
+    for method, (k_hat, seconds, est, error) in raw.items():
+        det = detection_metrics(assocs[method], M)
         outcomes[method] = MethodOutcome(
             method=method,
             k_hat=k_hat,
@@ -300,10 +302,10 @@ def _run_tasks(tasks: list, processes: int) -> list:
     return results
 
 
-def trimmed_mean(values, trim_fraction: float = 0.05) -> float:
-    """Mean after dropping the top and bottom ``trim_fraction`` of values."""
+def trimmed_mean(values) -> float:
+    """Mean after dropping the top and bottom TRIM_FRACTION of values."""
     xs = np.sort(np.asarray(values, dtype=float))
-    drop = int(len(xs) * trim_fraction)
+    drop = int(len(xs) * TRIM_FRACTION)
     kept = xs[drop : len(xs) - drop] if drop else xs
     return float(np.mean(kept)) if kept.size else math.nan
 
@@ -413,6 +415,7 @@ def emit_csv(table, path: str) -> None:
     deterministic regardless of how the table was assembled.
 
     Raises:
+        ValueError: If the table has no rows.
         OSError: If the path cannot be written (message carries the path).
     """
     rows = sorted(table, key=lambda r: (r.sweep_value, r.method))
@@ -428,19 +431,30 @@ def emit_csv(table, path: str) -> None:
 
 
 def load_results(path: str) -> ResultTable:
-    """Parse a CSV written by :func:`emit_csv` back into ResultRows."""
+    """Parse a CSV written by :func:`emit_csv` back into ResultRows.
+
+    Raises:
+        ValueError: On a foreign header or a malformed row (a field count
+            other than the header's, or a field that does not parse as its
+            column's type); the message names the path and the row's line.
+    """
+    rows = []
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
-        if tuple(header) != RESULT_FIELDS:
+        if tuple(next(reader, ())) != RESULT_FIELDS:
             raise ValueError(f"unexpected CSV header in {path}")
-        rows = [
-            ResultRow(
-                **{
-                    name: _FIELD_TYPES[name](value)
-                    for name, value in zip(RESULT_FIELDS, record)
-                }
-            )
-            for record in reader
-        ]
+        for record in reader:
+            where = f"{path}, line {reader.line_num}"
+            if len(record) != len(RESULT_FIELDS):
+                raise ValueError(
+                    f"{where}: expected {len(RESULT_FIELDS)} fields, got {len(record)}"
+                )
+            values = {}
+            for name, text in zip(RESULT_FIELDS, record):
+                kind = _FIELD_TYPES[name]
+                try:
+                    values[name] = kind(text)
+                except ValueError:
+                    raise ValueError(f"{where}: {name} is not {kind.__name__}: {text!r}") from None
+            rows.append(ResultRow(**values))
     return ResultTable(rows)

@@ -121,9 +121,13 @@ def _cached_grid(N: int, M: int, phase_factor: float) -> DoaGrid:
     return DoaGrid(N, angles, M, phase_factor, steering)
 
 
-# Cached flattened diagonal-offset indices for the Gram diagonal sums,
-# keyed by matrix order M.
-_DIAG_OFFSETS: dict[int, np.ndarray] = {}
+@functools.lru_cache(maxsize=8)
+def _diag_offsets(M: int) -> np.ndarray:
+    """Diagonal offset plus M - 1 of each entry of a flattened M x M matrix."""
+    rng = np.arange(M)
+    idx = (rng[None, :] - rng[:, None] + M - 1).ravel()
+    idx.flags.writeable = False
+    return idx
 
 
 def _diag_sums(H: np.ndarray) -> np.ndarray:
@@ -132,11 +136,7 @@ def _diag_sums(H: np.ndarray) -> np.ndarray:
     Returns g with g[d] = sum_m H[m, m + d] for d = 0 .. M-1.
     """
     M = H.shape[0]
-    idx = _DIAG_OFFSETS.get(M)
-    if idx is None:
-        rng = np.arange(M)
-        idx = (rng[None, :] - rng[:, None] + M - 1).ravel()
-        _DIAG_OFFSETS[M] = idx
+    idx = _diag_offsets(M)
     flat = H.ravel()
     re = np.bincount(idx, weights=flat.real, minlength=2 * M - 1)
     im = np.bincount(idx, weights=flat.imag, minlength=2 * M - 1)

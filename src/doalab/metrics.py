@@ -2,14 +2,15 @@
 
 Association solves the rectangular optimal-assignment problem on absolute
 angle error.  Detection scoring classifies matched pairs inside the array's
-main lobe (|du| < 2/M) as hits; everything else an estimator reports counts
-as a false alarm.  The scene diagnostics summarize how diagonal the steering
-and coefficient Gram matrices are — proxies for angular separability and
-signal decorrelation.
+main lobe (|du| < 2/M, applied by hit_true_indices alone) as hits;
+everything else an estimator reports counts as a false alarm.  The scene
+diagnostics summarize how diagonal the steering and coefficient Gram
+matrices are — proxies for angular separability and signal decorrelation.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -67,12 +68,6 @@ def associate(true_u: Sequence[float], est_u: Sequence[float]) -> AssociationRes
     """
     true_u = np.asarray(true_u, dtype=float).reshape(-1)
     est_u = np.asarray(est_u, dtype=float).reshape(-1)
-    if true_u.size == 0 or est_u.size == 0:
-        return AssociationResult(
-            pairs=(),
-            unmatched_true=tuple(range(true_u.size)),
-            unmatched_est=tuple(range(est_u.size)),
-        )
     cost = np.abs(true_u[:, None] - est_u[None, :])
     rows, cols = linear_sum_assignment(cost)
     pairs = tuple(
@@ -85,30 +80,25 @@ def associate(true_u: Sequence[float], est_u: Sequence[float]) -> AssociationRes
     )
 
 
-def detection_metrics(
-    assoc: AssociationResult,
-    K_true: int,
-    M: int,
-    hit_halfwidth: float | None = None,
-) -> DetectionMetrics:
+def detection_metrics(assoc: AssociationResult, M: int) -> DetectionMetrics:
     """Score an association as hits and false alarms.
 
-    A matched pair is a hit when its error is inside the main lobe,
-    |du| < hit_halfwidth (default 2/M, the first-null distance of an
-    M-element half-wavelength array).  Matched-but-outside pairs and
-    unmatched estimates are false alarms.  The false-alarm rate is
-    normalized by the number of detections the method reported, so a perfect
-    score requires zero spurious detections regardless of how many targets
-    exist.
+    The hits are the pairs :func:`hit_true_indices` counts; matched pairs
+    outside the main lobe and unmatched estimates are false alarms.  The hit
+    rate is normalized by the number of true angles, the false-alarm rate by
+    the number of detections the method reported, so a perfect score
+    requires zero spurious detections regardless of how many targets exist.
+
+    Raises:
+        ValueError: If the association has no true angles.
     """
-    if K_true < 1:
-        raise ValueError("K_true must be >= 1")
-    if hit_halfwidth is None:
-        hit_halfwidth = 2.0 / M
-    hits = sum(1 for _, _, d in assoc.pairs if d < hit_halfwidth)
+    targets = len(assoc.pairs) + len(assoc.unmatched_true)
+    if targets < 1:
+        raise ValueError("association has no true angles")
+    hits = len(hit_true_indices(assoc, M))
     detections = len(assoc.pairs) + len(assoc.unmatched_est)
     false_alarms = detections - hits
-    hit_rate = hits / K_true
+    hit_rate = hits / targets
     fa_rate = false_alarms / max(1, detections)
     return DetectionMetrics(
         hits=hits,
@@ -119,33 +109,29 @@ def detection_metrics(
     )
 
 
-def hit_true_indices(
-    assoc: AssociationResult, M: int, hit_halfwidth: float | None = None
-) -> frozenset:
-    """True-target indices hit by this association."""
-    if hit_halfwidth is None:
-        hit_halfwidth = 2.0 / M
-    return frozenset(t for t, _, d in assoc.pairs if d < hit_halfwidth)
+def hit_true_indices(assoc: AssociationResult, M: int) -> frozenset:
+    """True-target indices whose matched error is inside the main lobe.
+
+    The package's one hit rule: |du| < 2/M, the first-null distance of an
+    M-element half-wavelength array.
+    """
+    return frozenset(t for t, _, d in assoc.pairs if d < 2.0 / M)
 
 
-def rmse_common_hits(
-    per_method_assocs: Mapping[str, AssociationResult],
-    true_u: Sequence[float],
-    M: int,
-    hit_halfwidth: float | None = None,
-) -> dict:
+def rmse_common_hits(per_method_assocs: Mapping[str, AssociationResult], M: int) -> dict:
     """Per-method RMSE restricted to targets every method hit.
 
-    Comparing precision only on commonly-hit targets keeps the average from
-    rewarding a method for missing its hardest targets.  When no target is
-    hit by all methods the value is None for every method (callers track
-    that as a coverage fraction).
+    Hits follow :func:`hit_true_indices`.  Comparing precision only on
+    commonly-hit targets keeps the average from rewarding a method for
+    missing its hardest targets.  When no target is hit by all methods the
+    value is None for every method (callers track that as a coverage
+    fraction).
     """
     if not per_method_assocs:
         raise ValueError("need at least one method")
     common = None
     for assoc in per_method_assocs.values():
-        hits = hit_true_indices(assoc, M, hit_halfwidth)
+        hits = hit_true_indices(assoc, M)
         common = hits if common is None else (common & hits)
     if not common:
         return {name: None for name in per_method_assocs}
@@ -187,19 +173,17 @@ def diagnostics(
     M: int,
     D: int,
     Q: int,
-    phase_factor: float | None = None,
+    phase_factor: float = math.pi,
 ) -> DiagnosticMetrics:
     """Scene-difficulty diagnostics from normalized Gram matrices.
 
     The steering Gram ``A^H A / M`` measures angular separability; the
     coefficient Gram ``B B^H / (D Q)`` measures how decorrelated the
     per-target signal histories are.  Both are summarized by their
-    diagonality score.
+    diagonality score.  ``A`` steers the true angles with the array's
+    ``phase_factor`` (default pi, a half-wavelength array).
     """
-    if phase_factor is None:
-        A = steering_matrix(truth.doas, M)
-    else:
-        A = steering_matrix(truth.doas, M, phase_factor)
+    A = steering_matrix(truth.doas, M, phase_factor)
     T = A.conj().T @ A / M
     S = coeffs @ coeffs.conj().T / (D * Q)
     return DiagnosticMetrics(

@@ -430,7 +430,7 @@ def test_criterion_08_noiseless_ongrid_recovery_is_exact():
         for method in METHOD_IDS:
             est = estimate_method(method, R, K, grid)
             np.testing.assert_array_equal(np.sort(_grid_indices(grid, est)), idx)
-            det = detection_metrics(associate(truth.doas, est), K, M)
+            det = detection_metrics(associate(truth.doas, est), M)
             assert det.youden_j == 1.0
     _report(8, "grid-exact recovery, J=1 for all methods at K in {1, 2, 4}")
 

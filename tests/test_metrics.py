@@ -98,7 +98,7 @@ def test_associate_beats_identity_and_random_permutations():
 
 def test_perfect_detection_scores_one():
     u = [0.2, -0.5, 0.8]
-    det = detection_metrics(associate(u, u), K_true=3, M=16)
+    det = detection_metrics(associate(u, u), M=16)
     assert det.hits == 3 and det.false_alarms == 0
     assert det.hit_rate == 1.0 and det.fa_rate == 0.0
     assert det.youden_j == 1.0
@@ -107,7 +107,7 @@ def test_perfect_detection_scores_one():
 def test_one_hit_one_spurious_scores_zero():
     # Two true targets; the estimator reports one spot-on and one off by
     # 0.2, outside the 0.125 main lobe.
-    det = detection_metrics(associate([0.0, 0.5], [0.0, 0.3]), K_true=2, M=16)
+    det = detection_metrics(associate([0.0, 0.5], [0.0, 0.3]), M=16)
     assert det.hits == 1 and det.false_alarms == 1
     assert det.hit_rate == 0.5 and det.fa_rate == 0.5
     assert det.youden_j == 0.0
@@ -115,7 +115,7 @@ def test_one_hit_one_spurious_scores_zero():
 
 def test_matched_beyond_threshold_is_false_alarm():
     # |du| = 0.2 with M=16 is outside the 2/M = 0.125 main lobe.
-    det = detection_metrics(associate([0.0], [0.2]), K_true=1, M=16)
+    det = detection_metrics(associate([0.0], [0.2]), M=16)
     assert det.hits == 0 and det.false_alarms == 1
     assert det.youden_j == -1.0
 
@@ -123,23 +123,16 @@ def test_matched_beyond_threshold_is_false_alarm():
 def test_hit_threshold_is_strict():
     M = 16
     just_inside = detection_metrics(
-        associate([0.0], [2.0 / M - 1e-9]), K_true=1, M=M
+        associate([0.0], [2.0 / M - 1e-9]), M=M
     )
-    at_threshold = detection_metrics(associate([0.0], [2.0 / M]), K_true=1, M=M)
+    at_threshold = detection_metrics(associate([0.0], [2.0 / M]), M=M)
     assert just_inside.hits == 1
     assert at_threshold.hits == 0
 
 
-def test_custom_halfwidth_overrides_default():
-    det = detection_metrics(
-        associate([0.0], [0.2]), K_true=1, M=16, hit_halfwidth=0.3
-    )
-    assert det.hits == 1
-
-
 def test_missed_targets_lower_hit_rate_without_fa():
     # Estimator reports fewer estimates than targets, all accurate.
-    det = detection_metrics(associate([0.0, 0.5, -0.5], [0.0]), K_true=3, M=16)
+    det = detection_metrics(associate([0.0, 0.5, -0.5], [0.0]), M=16)
     assert det.hits == 1 and det.false_alarms == 0
     assert det.hit_rate == pytest.approx(1 / 3)
     assert det.fa_rate == 0.0
@@ -147,7 +140,7 @@ def test_missed_targets_lower_hit_rate_without_fa():
 
 def test_k_true_validation():
     with pytest.raises(ValueError):
-        detection_metrics(associate([0.0], [0.0]), K_true=0, M=8)
+        detection_metrics(associate([], [0.0]), M=8)
 
 
 @given(
@@ -156,9 +149,12 @@ def test_k_true_validation():
 )
 @settings(max_examples=120, deadline=None)
 def test_youden_j_stays_bounded(true_u, est_u):
-    det = detection_metrics(associate(true_u, est_u), K_true=len(true_u), M=16)
+    assoc = associate(true_u, est_u)
+    det = detection_metrics(assoc, M=16)
     assert -1.0 <= det.youden_j <= 1.0
     assert det.youden_j == pytest.approx(det.hit_rate - det.fa_rate)
+    assert det.hits == len(hit_true_indices(assoc, 16))
+    assert det.hit_rate == det.hits / len(true_u)
 
 
 def test_hit_true_indices():
@@ -171,7 +167,7 @@ def test_hit_true_indices():
 
 def test_rmse_single_method_single_hit():
     assocs = {"a": associate([0.0], [0.001])}
-    out = rmse_common_hits(assocs, [0.0], M=16)
+    out = rmse_common_hits(assocs, M=16)
     assert out["a"] == pytest.approx(0.001)
 
 
@@ -181,7 +177,7 @@ def test_rmse_disjoint_hits_is_absent():
         "a": associate([0.0, 0.5], [0.001, 0.9]),
         "b": associate([0.0, 0.5], [0.35, 0.501]),
     }
-    out = rmse_common_hits(assocs, [0.0, 0.5], M=16)
+    out = rmse_common_hits(assocs, M=16)
     assert out == {"a": None, "b": None}
 
 
@@ -190,7 +186,7 @@ def test_rmse_hand_computed_three_targets():
     est_a = [0.01, 0.32, -0.38]
     est_b = [0.0, 0.29, -0.41]
     assocs = {"a": associate(true_u, est_a), "b": associate(true_u, est_b)}
-    out = rmse_common_hits(assocs, true_u, M=16)
+    out = rmse_common_hits(assocs, M=16)
     assert out["a"] == pytest.approx(math.sqrt((0.01**2 + 0.02**2 + 0.02**2) / 3))
     assert out["b"] == pytest.approx(math.sqrt((0.0**2 + 0.01**2 + 0.01**2) / 3))
 
@@ -201,7 +197,7 @@ def test_rmse_restricts_to_commonly_hit_targets():
         "sharp": associate(true_u, [0.001, 0.502]),  # hits both
         "half": associate(true_u, [0.03, 0.9]),  # hits only target 0
     }
-    out = rmse_common_hits(assocs, true_u, M=16)
+    out = rmse_common_hits(assocs, M=16)
     # Only target 0 is common, so 'sharp' is scored on it alone.
     assert out["sharp"] == pytest.approx(0.001)
     assert out["half"] == pytest.approx(0.03)
@@ -209,7 +205,7 @@ def test_rmse_restricts_to_commonly_hit_targets():
 
 def test_rmse_requires_a_method():
     with pytest.raises(ValueError):
-        rmse_common_hits({}, [0.0], M=8)
+        rmse_common_hits({}, M=8)
 
 
 # ---------------------------------------------------------------- diagnostics
