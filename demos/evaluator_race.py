@@ -2,9 +2,9 @@
 
 Every estimator in the package scores candidate angles through squared
 steering-vector correlations.  On the half-wavelength grid a spectral
-method transforms its operand onto the grid with FFTs and scores the
-squared rows of those correlations (noise-form notches instead take a
-Toeplitz quadratic form driven by one inverse FFT); a greedy method
+method transforms its operand onto the grid with FFTs and scores each grid
+point by the squared norm of its correlations (noise-form notches instead
+take a Toeplitz quadratic form driven by one inverse FFT); a greedy method
 transforms its operand the same way once, then one new basis column per
 selection, and updates the correlations it holds by a rank-one term.  This
 demo checks both evaluators agree to rounding and races them as the array

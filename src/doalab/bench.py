@@ -231,10 +231,10 @@ def run_trial(
         raw[method] = (k_hat, seconds, est, error)
         assocs[method] = associate(truth.doas, est)
 
-    rmse = rmse_common_hits(assocs, M)
+    rmse = rmse_common_hits(assocs, M, cfg.element_phase_factor)
     outcomes = {}
     for method, (k_hat, seconds, est, error) in raw.items():
-        det = detection_metrics(assocs[method], M)
+        det = detection_metrics(assocs[method], M, cfg.element_phase_factor)
         outcomes[method] = MethodOutcome(
             method=method,
             k_hat=k_hat,

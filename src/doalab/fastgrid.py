@@ -9,11 +9,13 @@ norms ``||A^H a(u)||^2`` over the whole grid.  The u-grid is uniform on
 a signed inverse-DFT kernel.  That gives two fast routes for a
 half-wavelength ULA, both landing in ascending-angle order:
 
-* correlations: the complex values ``A^H a(u)`` themselves, an N x r array
+* correlations: the complex values ``A^H a(u)`` themselves, an r x N array
   computed as N/L twiddled inverse FFTs of length L >= M (see
-  grid_correlations).  A squared norm is a squared row of it, so spectral
-  numerators and the greedy engine's scores both take this route, and each
-  method's grid cost scales with the width r of its own operand.
+  grid_correlations).  The layout is operand-major: row j holds column j's
+  correlations with the whole grid, contiguous.  A squared norm is a squared
+  column of it (see grid_norms_sq), so spectral numerators and the greedy
+  engine's scores both take this route, and each method's grid cost scales
+  with the width r of its own operand.
 * quadratic form: ``||A^H a(u)||^2 = a(u)^H H a(u)`` with ``H = A A^H``, a
   trigonometric polynomial evaluated by a single length-N inverse FFT of H's
   diagonal sums: O(M^2 r + N log N), independent of r past the Gram product.
@@ -211,48 +213,56 @@ def _split_twiddles(N: int, M: int) -> tuple:
 
 
 def grid_correlations(A: np.ndarray, grid: DoaGrid, evaluator: str = "fft") -> np.ndarray:
-    """``A^H a(u)`` over the grid: N x r, rows in ascending-angle order.
+    """``A^H a(u)`` over the grid: r x N and C-contiguous, so row j holds the
+    grid correlations of A's column j in ascending-angle order.
 
     On the fft path, grid point p = (N/L) t + q gets
     ``sum_m conj(A[m, j]) T[m, q] exp(j 2 pi t m / L)`` (see _split_twiddles):
-    N/L twiddled copies of conj(A) take length-L inverse FFTs that land in
-    angle order.  Direct and non-pi grids take the product with the steering.
+    for each column, N/L twiddled copies of conj(A[:, j]) take length-L
+    inverse FFTs that land in angle order.  Direct and non-pi grids take the
+    product with the steering.
     """
     if evaluator not in ("fft", "direct"):
         raise ValueError(f"unknown evaluator: {evaluator!r}")
     if evaluator == "direct" or grid.phase_factor != math.pi:
-        return grid.steering.T @ A.conj()
+        return A.conj().T @ grid.steering
     M, r = A.shape
     L, T = _split_twiddles(grid.N, M)
-    buf = np.zeros((L, grid.N // L, r), dtype=complex)
-    np.multiply(T[:, :, None], A.conj()[:, None, :], out=buf[:M])
-    return sp_fft.ifft(buf, axis=0, norm="forward", overwrite_x=True).reshape(grid.N, r)
+    buf = np.zeros((r, L, grid.N // L), dtype=complex)
+    np.multiply(T[None, :, :], A.conj().T[:, :, None], out=buf[:, :M])
+    return sp_fft.ifft(buf, axis=1, norm="forward", overwrite_x=True).reshape(r, grid.N)
 
 
-def row_norms_sq(Z: np.ndarray) -> np.ndarray:
-    """Squared norms of the rows of a C-contiguous complex array."""
+def grid_norms_sq(Z: np.ndarray) -> np.ndarray:
+    """Squared norms of the columns of a C-contiguous r x N complex array:
+    ``||A^H a(u)||^2`` over the grid from ``Z = grid_correlations(A, ...)``."""
     parts = Z.view(np.float64)
-    return np.einsum("pc,pc->p", parts, parts)
+    sums = np.einsum("cp,cp->p", parts, parts)
+    return sums[0::2] + sums[1::2]
 
 
 def colnorms_sq(A: np.ndarray, grid: DoaGrid, evaluator: str = "fft") -> np.ndarray:
-    """``||A^H a(u)||^2`` over the grid: the squared rows of grid_correlations."""
-    return row_norms_sq(grid_correlations(A, grid, evaluator))
+    """``||A^H a(u)||^2`` over the grid: the squared columns of grid_correlations."""
+    return grid_norms_sq(grid_correlations(A, grid, evaluator))
 
 
-def apply_form(values: np.ndarray, form: str, denom: np.ndarray, M: int) -> np.ndarray:
-    """Squared numerator norms as a "norm" or ratio-form objective; ratio
-    forms divide by ``denom = ||Pc a||^2`` and mask it below MASK_RTOL * M."""
+def apply_form(
+    values: np.ndarray, form: str, denom: np.ndarray, masked: np.ndarray
+) -> np.ndarray:
+    """Squared numerator norms as a "norm" or ratio-form objective, in place.
+
+    Ratio forms divide by ``denom = ||Pc a||^2`` and set the ``masked``
+    candidates, ``denom < MASK_RTOL * M``, to -inf; "norm" returns values.
+    """
     if form == "norm":
         return values
     if form not in RATIO_FORMS:
         raise ValueError(f"{form!r} is not a norm or ratio form")
-    masked = denom < MASK_RTOL * M
-    out = values / np.where(masked, 1.0, denom)
+    np.divide(values, denom, out=values, where=~masked)
     if form == "complement-ratio":
-        out = 1.0 - out
-    out[masked] = -np.inf
-    return out
+        np.subtract(1.0, values, out=values)
+    values[masked] = -np.inf
+    return values
 
 
 def objective_values(
@@ -273,7 +283,7 @@ def objective_values(
             projected steering norm ``||Pc a||^2`` and "complement-ratio"
             is one minus that ratio, both masking degenerate candidates.
         evaluator: "fft" or "direct"; both agree to 1e-8 relative.  The
-            "norm" and ratio numerators are the squared rows of
+            "norm" and ratio numerators are the squared columns of
             grid_correlations, so each method's cost scales with its own
             operand width; on the fft path, reciprocal forms instead take
             the width-independent quadratic-form route with exact
@@ -314,4 +324,4 @@ def objective_values(
     if pc is None:
         raise ValueError(f"form {form!r} needs the complement projector")
     denom = quadform_fft(pc, grid) if quad else colnorms_sq(pc, grid, evaluator)
-    return apply_form(values, form, denom, M)
+    return apply_form(values, form, denom, denom < MASK_RTOL * M)

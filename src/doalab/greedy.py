@@ -21,12 +21,13 @@ rebuild of the selected steering matrix, pseudoinverse or projector is
 needed, and the rank guard is simply the new column's residual norm.
 
 Nor is the residual transformed again.  The state holds its grid
-correlations ``Z = residual^H a(u)`` and ``d = ||Pc a(u)||^2``; a new column q
-with ``c = q^H a(u)`` and ``w = residual^H q`` updates them in place by
-``Z -= c w^T``, ``d -= |c|^2`` (the recursions of Rebollo-Neira & Lowe 2002),
-so an estimate transforms its operand once, then one column per selection.
-Scores are Z's squared row norms: recursing on the norms instead cancels
-against their initial values.
+correlations ``Z = residual^H a(u)``, r x N in grid_correlations' operand-major
+layout, and ``d = ||Pc a(u)||^2``; a new column q with ``c = q^H a(u)`` and
+``w = residual^H q`` updates them in place by ``Z -= w c^T``, ``d -= |c|^2``
+(the recursions of Rebollo-Neira & Lowe 2002), so an estimate transforms its
+operand once, then one column per selection.  In that layout the rank-one
+update of Z is r contiguous length-N axpys.  Scores are Z's squared column
+norms: recursing on the norms instead cancels against their initial values.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg.blas import zgeru
 
-from doalab.fastgrid import MASK_RTOL, DoaGrid, apply_form, grid_correlations, row_norms_sq
+from doalab.fastgrid import MASK_RTOL, DoaGrid, apply_form, grid_correlations, grid_norms_sq
 from doalab.scenario import steering_vector
 
 
@@ -47,42 +48,52 @@ class GreedyState:
 
     Attributes:
         selected: Angles chosen so far, in selection order.
-        Q: M x len(selected) orthonormal basis of their steering span.
         res: M x r residual ``X - Q (Q^H X)``.
-        Z: N x r grid correlations ``res^H a(u)``, in ascending-angle order.
+        Z: r x N grid correlations ``res^H a(u)``, in ascending-angle order
+            along each row.
         d: ``||Pc a(u)||^2`` over the grid.
+        masked: ``d < MASK_RTOL * M``, the candidates every form passes over
+            (the selected angles among them).
         grid, evaluator: Where and how Z is evaluated.
+        basis: M x M buffer whose first len(selected) columns are Q.
+        basis_h: M x M buffer whose first len(selected) rows are Q^H.
     """
 
     selected: tuple
-    Q: np.ndarray
     res: np.ndarray
     Z: np.ndarray
     d: np.ndarray
+    masked: np.ndarray
     grid: DoaGrid
     evaluator: str
+    basis: np.ndarray
+    basis_h: np.ndarray
 
-    def residual(self, X: np.ndarray) -> np.ndarray:
-        """``X - Q (Q^H X)``: any X projected onto the complement of the span."""
-        return X - self.Q @ (self.Q.conj().T @ X)
+    @property
+    def Q(self) -> np.ndarray:
+        """M x len(selected) orthonormal basis of the selected steering span."""
+        return self.basis[:, : len(self.selected)]
 
     @property
     def Pc(self) -> np.ndarray:
         """M x M projector ``I - Q Q^H`` onto the complement of the span."""
-        return np.eye(self.Q.shape[0], dtype=complex) - self.Q @ self.Q.conj().T
+        k = len(self.selected)
+        return np.eye(self.basis.shape[0], dtype=complex) - self.Q @ self.basis_h[:k]
 
 
 def initial_state(X: np.ndarray, grid: DoaGrid, evaluator: str = "fft") -> GreedyState:
     """State before any selection: the residual is X, transformed once."""
     M, res = X.shape[0], np.array(X, dtype=complex, order="C")
     Z, d = grid_correlations(res, grid, evaluator), np.full(grid.N, float(M))
-    return GreedyState((), np.empty((M, 0), dtype=complex), res, Z, d, grid, evaluator)
+    masked = np.zeros(grid.N, dtype=bool)
+    basis, basis_h = np.zeros((M, M), dtype=complex), np.zeros((M, M), dtype=complex)
+    return GreedyState((), res, Z, d, masked, grid, evaluator, basis, basis_h)
 
 
 def greedy_objective(state: GreedyState, form: str) -> np.ndarray:
     """Scores for the next angle in ``form`` ("norm", "ratio" or
     "complement-ratio"); ratio forms mask degenerate candidates with -inf."""
-    return apply_form(row_norms_sq(state.Z), form, state.d, state.res.shape[0])
+    return apply_form(grid_norms_sq(state.Z), form, state.d, state.masked)
 
 
 def greedy_update(state: GreedyState, new_angle: float) -> None:
@@ -97,23 +108,28 @@ def greedy_update(state: GreedyState, new_angle: float) -> None:
     """
     if new_angle in state.selected:
         raise ValueError(f"angle {new_angle} already selected")
-    Q = state.Q
+    k = len(state.selected)
+    Q, Qh = state.Q, state.basis_h[:k]
     M = Q.shape[0]
     a = steering_vector(new_angle, M, state.grid.phase_factor)
     for _ in range(2):
-        a = a - Q @ (Q.conj().T @ a)
+        a = a - Q @ (Qh @ a)
     norm_sq = float(np.vdot(a, a).real)
     if norm_sq < MASK_RTOL * M:
         raise np.linalg.LinAlgError(
             "rank-deficient selection (near-duplicate selected angles)"
         )
     q = a / math.sqrt(norm_sq)
-    c = grid_correlations(q[:, None], state.grid, state.evaluator)[:, 0]
-    w = state.res.conj().T @ q
-    state.Z = zgeru(-1.0, w, c, a=state.Z.T, overwrite_a=True).T  # Z -= c w^T, in place
-    state.d -= c.real**2 + c.imag**2
-    state.res -= np.outer(q, w.conj())
-    state.Q = np.column_stack([Q, q])
+    state.basis[:, k] = q
+    state.basis_h[k] = q.conj()
+    c = grid_correlations(q[:, None], state.grid, state.evaluator)
+    v = state.basis_h[k] @ state.res  # q^H res, so w = conj(v)
+    state.Z = zgeru(-1.0, c[0], v.conj(), a=state.Z.T, overwrite_a=True).T  # Z -= w c^T
+    c_sq = np.square(c.real)
+    c_sq += np.square(c.imag)
+    state.d -= c_sq[0]
+    np.less(state.d, MASK_RTOL * M, out=state.masked)
+    state.res -= np.outer(q, v)
     state.selected += (float(new_angle),)
 
 
@@ -125,5 +141,5 @@ def greedy_step(state: GreedyState, form: str) -> None:
     residual that scores zero everywhere still selects a fresh angle.
     """
     values = greedy_objective(state, form)
-    values[state.d < MASK_RTOL * state.res.shape[0]] = -np.inf
+    values[state.masked] = -np.inf
     greedy_update(state, state.grid.angles[int(np.argmax(values))])

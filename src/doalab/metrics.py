@@ -2,7 +2,8 @@
 
 Association solves the rectangular optimal-assignment problem on absolute
 angle error.  Detection scoring classifies matched pairs inside the array's
-main lobe (|du| < 2/M, applied by hit_true_indices alone) as hits;
+main lobe (|du| < 2 pi / (phi M), 2/M at the half-wavelength phase factor
+phi = pi, applied by hit_true_indices alone) as hits;
 everything else an estimator reports counts as a false alarm.  The scene
 diagnostics summarize how diagonal the steering and coefficient Gram
 matrices are — proxies for angular separability and signal decorrelation.
@@ -80,10 +81,13 @@ def associate(true_u: Sequence[float], est_u: Sequence[float]) -> AssociationRes
     )
 
 
-def detection_metrics(assoc: AssociationResult, M: int) -> DetectionMetrics:
+def detection_metrics(
+    assoc: AssociationResult, M: int, phase_factor: float = math.pi
+) -> DetectionMetrics:
     """Score an association as hits and false alarms.
 
-    The hits are the pairs :func:`hit_true_indices` counts; matched pairs
+    The hits are the pairs :func:`hit_true_indices` counts for an M-element
+    array with element phase factor ``phase_factor``; matched pairs
     outside the main lobe and unmatched estimates are false alarms.  The hit
     rate is normalized by the number of true angles, the false-alarm rate by
     the number of detections the method reported, so a perfect score
@@ -95,7 +99,7 @@ def detection_metrics(assoc: AssociationResult, M: int) -> DetectionMetrics:
     targets = len(assoc.pairs) + len(assoc.unmatched_true)
     if targets < 1:
         raise ValueError("association has no true angles")
-    hits = len(hit_true_indices(assoc, M))
+    hits = len(hit_true_indices(assoc, M, phase_factor))
     detections = len(assoc.pairs) + len(assoc.unmatched_est)
     false_alarms = detections - hits
     hit_rate = hits / targets
@@ -109,19 +113,28 @@ def detection_metrics(assoc: AssociationResult, M: int) -> DetectionMetrics:
     )
 
 
-def hit_true_indices(assoc: AssociationResult, M: int) -> frozenset:
+def hit_true_indices(
+    assoc: AssociationResult, M: int, phase_factor: float = math.pi
+) -> frozenset:
     """True-target indices whose matched error is inside the main lobe.
 
-    The package's one hit rule: |du| < 2/M, the first-null distance of an
-    M-element half-wavelength array.
+    The package's one hit rule: |du| < 2 pi / (phase_factor M), the
+    first-null distance of an M-element array whose steering phase advances
+    by ``phase_factor`` u per element; 2/M for the half-wavelength default.
     """
-    return frozenset(t for t, _, d in assoc.pairs if d < 2.0 / M)
+    halfwidth = 2.0 / M * (math.pi / phase_factor)
+    return frozenset(t for t, _, d in assoc.pairs if d < halfwidth)
 
 
-def rmse_common_hits(per_method_assocs: Mapping[str, AssociationResult], M: int) -> dict:
+def rmse_common_hits(
+    per_method_assocs: Mapping[str, AssociationResult],
+    M: int,
+    phase_factor: float = math.pi,
+) -> dict:
     """Per-method RMSE restricted to targets every method hit.
 
-    Hits follow :func:`hit_true_indices`.  Comparing precision only on
+    Hits follow :func:`hit_true_indices` with the same M and
+    ``phase_factor``.  Comparing precision only on
     commonly-hit targets keeps the average from rewarding a method for
     missing its hardest targets.  When no target is hit by all methods the
     value is None for every method (callers track that as a coverage
@@ -131,7 +144,7 @@ def rmse_common_hits(per_method_assocs: Mapping[str, AssociationResult], M: int)
         raise ValueError("need at least one method")
     common = None
     for assoc in per_method_assocs.values():
-        hits = hit_true_indices(assoc, M)
+        hits = hit_true_indices(assoc, M, phase_factor)
         common = hits if common is None else (common & hits)
     if not common:
         return {name: None for name in per_method_assocs}

@@ -3,7 +3,8 @@
 A normal-equations pseudoinverse and the subspace projectors built on it:
 the estimators never form either (the greedy engine grows an orthonormal
 basis instead, see :mod:`doalab.greedy`), so they live here as the
-from-scratch oracle.
+from-scratch oracle, with the residual of any operand against a greedy
+state's basis.
 """
 
 from __future__ import annotations
@@ -66,3 +67,9 @@ def projectors(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     P = A @ pseudoinverse(A)
     P = 0.5 * (P + P.conj().T)  # exact Hermitian symmetry
     return P, np.eye(M, dtype=complex) - P
+
+
+def residual(state, X: np.ndarray) -> np.ndarray:
+    """``X - Q (Q^H X)``: any X projected onto the complement of a greedy
+    state's selected span."""
+    return X - state.Q @ (state.Q.conj().T @ X)

@@ -40,7 +40,7 @@ from doalab.scenario import (
     trial_rng,
 )
 from doalab.subspace import partition, sample_covariance
-from reference_linalg import projectors
+from reference_linalg import projectors, residual
 
 # Methods compared in the 500-trial detection/precision sweep.  The classic
 # MUSIC baseline is the noise-form variant; the signal form shares its peak
@@ -287,18 +287,18 @@ def test_criterion_05_fft_evaluator_matches_direct_and_is_faster():
     for _ in range(3):
         vals = greedy_objective(istate, "ratio")
         greedy_update(istate, grid.angles[int(np.argmax(vals))])
-    weighted_res = istate.residual(dec.weighted_signal())
+    weighted_res = residual(istate, dec.weighted_signal())
 
     cases = {
         "music-signal": (dec.S, None),
         "music-noise": (dec.G, None),
         "wmusic-signal": (dec.weighted_signal(), None),
         "wmusic-noise": (dec.weighted_noise(), None),
-        "omp": (gstate.residual(sqrt_R), gstate.Pc),
-        "ols": (gstate.residual(sqrt_R), gstate.Pc),
-        "omp-imusic": (istate.residual(dec.S), istate.Pc),
-        "ols-imusic-signal": (istate.residual(dec.S), istate.Pc),
-        "ols-imusic-noise": (istate.residual(dec.G), istate.Pc),
+        "omp": (residual(gstate, sqrt_R), gstate.Pc),
+        "ols": (residual(gstate, sqrt_R), gstate.Pc),
+        "omp-imusic": (residual(istate, dec.S), istate.Pc),
+        "ols-imusic-signal": (residual(istate, dec.S), istate.Pc),
+        "ols-imusic-noise": (residual(istate, dec.G), istate.Pc),
         "omp-iwmusic": (weighted_res, istate.Pc),
         "ols-iwmusic": (weighted_res, istate.Pc),
     }

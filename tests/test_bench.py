@@ -32,6 +32,7 @@ from doalab.config import ConfigError, parse_config
 from doalab.fastgrid import make_grid
 from doalab.linalg import hermitian_evd
 from doalab.methods import METHOD_IDS, estimate_method
+from doalab.metrics import associate, detection_metrics
 from doalab.scenario import (
     ScenarioConfig,
     draw_targets,
@@ -122,6 +123,21 @@ def test_run_trial_times_only_the_estimate():
     assert 0.0 < out.seconds < 1.0
     assert out.error is None
     assert 0.0 < tr.t_metric <= 1.0 and 0.0 < tr.s_metric <= 1.0
+
+
+def test_run_trial_scores_hits_with_the_scene_phase_factor():
+    # At phase factor 1.0 the main lobe of an 8-element array reaches
+    # 2 pi / 8, past the half-wavelength 2/M = 0.25; matched pairs in
+    # between are hits, scored as run_trial's own detection metrics show.
+    cfg = small_cfg(
+        targets=3, subcarriers=16, symbols=2, snr_db=10.0, seed=5, element_phase_factor=1.0
+    )
+    tr = run_trial(cfg, 2, ("music-signal", "omp"))
+    for method, out in tr.outcomes.items():
+        assoc = associate(tr.truth.doas, out.estimates)
+        assert any(0.25 <= d < 2 * math.pi / 8 for _, _, d in assoc.pairs), method
+        assert out.hit_rate == detection_metrics(assoc, 8, 1.0).hit_rate == 1.0
+        assert out.youden_j == 1.0
 
 
 def test_noiseless_single_target_every_method_exact():

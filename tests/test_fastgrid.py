@@ -122,7 +122,7 @@ def test_non_halfwavelength_grid_falls_back_to_direct():
 
 
 def test_colnorms_dispatch_and_unknown_evaluator():
-    # Column norms are the squared rows of the grid correlations on both
+    # Column norms are the squared columns of the grid correlations on both
     # evaluators.
     rng = np.random.default_rng(2)
     grid = make_grid(32, 4)
@@ -130,7 +130,7 @@ def test_colnorms_dispatch_and_unknown_evaluator():
     for evaluator in ("fft", "direct"):
         Z = grid_correlations(A, grid, evaluator)
         np.testing.assert_array_equal(
-            colnorms_sq(A, grid, evaluator), fastgrid.row_norms_sq(Z)
+            colnorms_sq(A, grid, evaluator), fastgrid.grid_norms_sq(Z)
         )
     with pytest.raises(ValueError, match="evaluator"):
         colnorms_sq(A, grid, "clever")
@@ -153,7 +153,7 @@ def test_single_steering_column_concentrates_power():
 @pytest.mark.parametrize("phase_factor", [math.pi, 2.5])
 @pytest.mark.parametrize("M", [8, 6])  # 6 does not divide N: a length-8 split
 def test_grid_correlations_match_brute_force(M, phase_factor):
-    # Row p holds A^H a(u_p) in angle order on both evaluators; its squared
+    # Column p holds A^H a(u_p) in angle order on both evaluators; its squared
     # norm is the column-norm objective.
     rng = np.random.default_rng(3)
     grid = make_grid(64, M, phase_factor)
@@ -163,10 +163,10 @@ def test_grid_correlations_match_brute_force(M, phase_factor):
     )
     for evaluator in ("fft", "direct"):
         Z = grid_correlations(A, grid, evaluator)
-        assert Z.shape == (64, 3) and Z.flags.c_contiguous
-        np.testing.assert_allclose(Z, brute, rtol=0, atol=1e-12 * np.abs(brute).max())
+        assert Z.shape == (3, 64) and Z.flags.c_contiguous
+        np.testing.assert_allclose(Z.T, brute, rtol=0, atol=1e-12 * np.abs(brute).max())
         np.testing.assert_allclose(
-            np.sum(np.abs(Z) ** 2, axis=1), brute_colnorms(A, grid), rtol=1e-12
+            np.sum(np.abs(Z) ** 2, axis=0), brute_colnorms(A, grid), rtol=1e-12
         )
     with pytest.raises(ValueError, match="evaluator"):
         grid_correlations(A, grid, "clever")
@@ -174,10 +174,26 @@ def test_grid_correlations_match_brute_force(M, phase_factor):
 
 @pytest.mark.parametrize("phase_factor", [math.pi, 2.5])
 @pytest.mark.parametrize("evaluator", ["fft", "direct"])
+@pytest.mark.parametrize("r", [1, 5, 16])
+def test_grid_correlations_are_operand_major(r, evaluator, phase_factor):
+    # r x N, C-contiguous: each operand column's grid correlations are one
+    # contiguous row, the layout the greedy engine's rank-one update needs.
+    grid = make_grid(64, 8, phase_factor)
+    A = random_complex(np.random.default_rng(r), 8, r)
+    Z = grid_correlations(A, grid, evaluator)
+    assert Z.shape == (r, 64) and Z.flags.c_contiguous
+    for j in range(r):
+        np.testing.assert_allclose(
+            Z[j], grid_correlations(A[:, j : j + 1], grid, evaluator)[0], rtol=0, atol=1e-12
+        )
+
+
+@pytest.mark.parametrize("phase_factor", [math.pi, 2.5])
+@pytest.mark.parametrize("evaluator", ["fft", "direct"])
 def test_zero_width_operand_scores_zero(evaluator, phase_factor):
     grid = make_grid(64, 8, phase_factor)
     A = np.empty((8, 0), dtype=complex)
-    assert grid_correlations(A, grid, evaluator).shape == (64, 0)
+    assert grid_correlations(A, grid, evaluator).shape == (0, 64)
     np.testing.assert_array_equal(colnorms_sq(A, grid, evaluator), np.zeros(64))
 
 

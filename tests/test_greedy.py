@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import random_complex
-from doalab.fastgrid import make_grid, objective_values
+from doalab.fastgrid import grid_norms_sq, make_grid, objective_values
 from doalab.greedy import (
     greedy_objective,
     greedy_step,
@@ -25,7 +25,7 @@ from doalab.scenario import (
     trial_rng,
 )
 from doalab.subspace import partition, sample_covariance
-from reference_linalg import projectors
+from reference_linalg import projectors, residual
 
 
 def scenario_sqrt(seed, M=8, K=3, snr_db=30.0, N=256):
@@ -62,7 +62,7 @@ def slow_objective_forms(state, obs, R, sqrt_R, grid):
         obs_form[p] = np.sum(np.abs(Yn.conj().T @ a) ** 2)
         cov_form[p] = (a.conj() @ Rk @ a).real
     sqrt_form = np.sum(
-        np.abs(state.residual(sqrt_R).conj().T @ grid.steering) ** 2, axis=0
+        np.abs(residual(state, sqrt_R).conj().T @ grid.steering) ** 2, axis=0
     )
     return obs_form, cov_form, sqrt_form
 
@@ -76,7 +76,7 @@ def test_initial_state_is_identity_projection():
     state = initial_state(sqrt_R, make_grid(12, 6))
     assert state.selected == () and state.Q.shape == (6, 0)
     np.testing.assert_array_equal(state.Pc, np.eye(6))
-    np.testing.assert_array_equal(state.residual(sqrt_R), sqrt_R)
+    np.testing.assert_array_equal(residual(state, sqrt_R), sqrt_R)
 
 
 def test_update_projects_out_selected_steering():
@@ -105,7 +105,7 @@ def test_residual_is_recomputable_from_scratch():
     A = steering_matrix(state.selected, grid.M)
     _, Pc = projectors(A)
     np.testing.assert_allclose(
-        state.residual(sqrt_R),
+        residual(state, sqrt_R),
         Pc @ sqrt_R,
         atol=1e-10 * np.linalg.norm(sqrt_R),
     )
@@ -272,17 +272,18 @@ def test_basis_stays_orthonormal_at_k_m_minus_one(method):
     assert len(set(state.selected)) == M - 1
     assert np.linalg.norm(state.Q.conj().T @ state.Q - np.eye(M - 1)) <= 1e-12
     A = steering_matrix(state.selected, M)
-    leak = np.linalg.norm(A.conj().T @ state.residual(sqrt_R))
+    leak = np.linalg.norm(A.conj().T @ residual(state, sqrt_R))
     assert leak <= 1e-12 * np.linalg.norm(A) * np.linalg.norm(sqrt_R)
 
 
 # ---------------------------------------------------------------- oracle engine
 
 
-def hybrid_scene(trial, snr_db=40.0):
-    """Covariance and grid of the hybrid-order scene (K=8, M=16, L=1024)."""
+def hybrid_scene(trial, snr_db=40.0, antennas=16):
+    """Covariance and grid of the hybrid-order scene (K=8, M=16, L=1024),
+    or of the same scene on ``antennas`` elements."""
     cfg = ScenarioConfig(
-        targets=8, antennas=16, subcarriers=256, symbols=4, snr_db=snr_db, seed=1
+        targets=8, antennas=antennas, subcarriers=256, symbols=4, snr_db=snr_db, seed=1
     )
     rng = trial_rng(cfg.seed, trial)
     obs = synthesize_observation(draw_targets(cfg, rng), cfg, rng)
@@ -308,6 +309,32 @@ def reference_selection(X, grid, form, evaluator, steps):
     return selected
 
 
+def check_engine_against_oracle(X, grid, form, evaluator, steps):
+    """Run ``steps`` engine selections on X, checking the state against a
+    from-scratch evaluation at the same selections before each one."""
+    M = grid.M
+    state = initial_state(X, grid, evaluator)
+    for _ in range(steps):
+        Q = state.Q
+        res = X - Q @ (Q.conj().T @ X)
+        pc = np.eye(M) - Q @ Q.conj().T
+        np.testing.assert_allclose(state.res, res, rtol=0, atol=1e-12 * np.abs(X).max())
+        num = objective_values(res, grid, "norm", evaluator)
+        np.testing.assert_allclose(
+            grid_norms_sq(state.Z), num, rtol=0, atol=1e-9 * num.max()
+        )
+        denom = objective_values(pc, grid, "norm", evaluator)
+        np.testing.assert_allclose(state.d, denom, rtol=0, atol=1e-9 * M)
+        values = greedy_objective(state, form)
+        ref = objective_values(res, grid, form, evaluator, pc=pc)
+        np.testing.assert_array_equal(np.isfinite(values), np.isfinite(ref))
+        if form == "norm":
+            np.testing.assert_allclose(values, ref, rtol=0, atol=1e-9 * ref.max())
+        assert int(np.argmax(values)) == int(np.argmax(ref))
+        greedy_update(state, grid.angles[int(np.argmax(values))])
+    assert len(state.selected) == steps
+
+
 @pytest.mark.parametrize("evaluator", ["fft", "direct"])
 @pytest.mark.parametrize(
     "form, operand",
@@ -325,29 +352,17 @@ def test_engine_state_matches_from_scratch_oracle(form, operand, evaluator):
     # evaluation (the two from-scratch evaluators differ there by up to
     # 1e-3 of the maximum on this scene).
     R, grid = hybrid_scene(11)
-    M = grid.M
     X = getattr(partition(R, 8), operand)
-    state = initial_state(X, grid, evaluator)
-    for _ in range(M - 1):
-        Q = state.Q
-        res = X - Q @ (Q.conj().T @ X)
-        pc = np.eye(M) - Q @ Q.conj().T
-        np.testing.assert_allclose(state.res, res, rtol=0, atol=1e-12 * np.abs(X).max())
-        num = objective_values(res, grid, "norm", evaluator)
-        parts = state.Z.view(np.float64)
-        np.testing.assert_allclose(
-            np.einsum("pc,pc->p", parts, parts), num, rtol=0, atol=1e-9 * num.max()
-        )
-        denom = objective_values(pc, grid, "norm", evaluator)
-        np.testing.assert_allclose(state.d, denom, rtol=0, atol=1e-9 * M)
-        values = greedy_objective(state, form)
-        ref = objective_values(res, grid, form, evaluator, pc=pc)
-        np.testing.assert_array_equal(np.isfinite(values), np.isfinite(ref))
-        if form == "norm":
-            np.testing.assert_allclose(values, ref, rtol=0, atol=1e-9 * ref.max())
-        assert int(np.argmax(values)) == int(np.argmax(ref))
-        greedy_update(state, grid.angles[int(np.argmax(values))])
-    assert len(state.selected) == M - 1
+    check_engine_against_oracle(X, grid, form, evaluator, grid.M - 1)
+
+
+@pytest.mark.parametrize("evaluator", ["fft", "direct"])
+@pytest.mark.parametrize("form", ["norm", "ratio"])
+def test_engine_state_matches_oracle_on_a_wide_operand(form, evaluator):
+    # The same checks on a 64-column operand (M = 64, the covariance square
+    # root), where each rank-one update of Z spans 64 grid rows.
+    R, grid = hybrid_scene(11, antennas=64)
+    check_engine_against_oracle(partition(R, 8).sqrt_R, grid, form, evaluator, 8)
 
 
 @pytest.mark.parametrize("evaluator", ["fft", "direct"])
