@@ -52,10 +52,13 @@ class HermitianEvd:
 def hermitian_evd(R: np.ndarray) -> HermitianEvd:
     """Eigendecompose a Hermitian matrix.
 
-    The input is symmetrized internally before decomposition, so tiny
-    asymmetries from accumulated rounding are tolerated.  Negative
-    eigenvalues within ``PSD_CLAMP_RTOL`` of the largest one are clamped to
-    zero, which makes positive semidefinite inputs come out exactly PSD.
+    An input that is Hermitian within tolerance but not exactly is
+    symmetrized before decomposition, so tiny asymmetries from accumulated
+    rounding are tolerated; an exactly Hermitian input is decomposed as
+    given.  Negative eigenvalues within ``PSD_CLAMP_RTOL`` of the largest
+    one are clamped to zero, which makes positive semidefinite inputs come
+    out exactly PSD.  The eigenvalues and eigenvectors are descending views
+    of LAPACK's ascending output.
 
     Args:
         R: Square matrix, Hermitian within ``HERMITIAN_RTOL`` (relative
@@ -74,22 +77,21 @@ def hermitian_evd(R: np.ndarray) -> HermitianEvd:
         raise ValueError(f"expected a square matrix, got shape {R.shape}")
     if not np.all(np.isfinite(R)):
         raise ValueError("matrix contains non-finite entries")
-    # Compared at unit scale: Frobenius norms of R itself overflow or
-    # underflow at extreme scales and would silently pass any matrix.
-    scale = np.max(np.abs(R), initial=0.0)
-    unit = R / scale if scale > 0 else R
-    if np.linalg.norm(unit - unit.conj().T) > HERMITIAN_RTOL * np.linalg.norm(unit):
-        raise ValueError("matrix is not Hermitian within tolerance")
+    if not np.array_equal(R, R.conj().T):
+        # Compared at unit scale: Frobenius norms of R itself overflow or
+        # underflow at extreme scales and would silently pass any matrix.
+        scale = np.max(np.abs(R))
+        unit = R / scale
+        if np.linalg.norm(unit - unit.conj().T) > HERMITIAN_RTOL * np.linalg.norm(unit):
+            raise ValueError("matrix is not Hermitian within tolerance")
+        R = 0.5 * (R + R.conj().T)
     _evd_calls += 1
+    w, V = np.linalg.eigh(R)
     # LAPACK returns ascending eigenvalues; flip to descending.
-    w, V = np.linalg.eigh(0.5 * (R + R.conj().T))
-    w = w[::-1].copy()
-    V = V[:, ::-1].copy()
+    w, V = w[::-1], V[:, ::-1]
     if w.size:
-        lam_max = max(w[0], 0.0)
-        tiny = w < 0
-        tol = PSD_CLAMP_RTOL * lam_max
-        w[tiny & (np.abs(w) <= tol)] = 0.0
+        tol = PSD_CLAMP_RTOL * max(w[0], 0.0)
+        w[(w < 0) & (w >= -tol)] = 0.0
     return HermitianEvd(eigenvalues=w, eigenvectors=V)
 
 

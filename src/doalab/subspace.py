@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from doalab.linalg import covariance_sqrt, hermitian_evd
+from doalab.linalg import hermitian_evd
 
 
 @dataclass(frozen=True)
@@ -23,16 +23,12 @@ class SubspaceDecomposition:
         G: M x (M-K) matrix of the remaining eigenvectors.
         lambda_s: The K largest eigenvalues, descending.
         lambda_n: The M-K smallest eigenvalues, descending.
-        sqrt_R: Canonical covariance square root; its first K columns are
-            S scaled by sqrt(lambda_s) and the rest G scaled by
-            sqrt(lambda_n), so subspace and square-root views agree exactly.
     """
 
     S: np.ndarray
     G: np.ndarray
     lambda_s: np.ndarray
     lambda_n: np.ndarray
-    sqrt_R: np.ndarray
 
     @property
     def M(self) -> int:
@@ -49,6 +45,13 @@ class SubspaceDecomposition:
     def weighted_noise(self) -> np.ndarray:
         """Noise eigenvectors scaled columnwise by sqrt(lambda_n)."""
         return self.G * np.sqrt(self.lambda_n)[None, :]
+
+    @property
+    def sqrt_R(self) -> np.ndarray:
+        """Canonical covariance square root, built on each access: its first
+        K columns are S scaled by sqrt(lambda_s) and the rest G scaled by
+        sqrt(lambda_n), so subspace and square-root views agree exactly."""
+        return np.concatenate([self.weighted_signal(), self.weighted_noise()], axis=1)
 
 
 def sample_covariance(Y: np.ndarray) -> np.ndarray:
@@ -83,7 +86,6 @@ def partition(R: np.ndarray, K: int) -> SubspaceDecomposition:
         G=evd.eigenvectors[:, K:],
         lambda_s=evd.eigenvalues[:K],
         lambda_n=evd.eigenvalues[K:],
-        sqrt_R=covariance_sqrt(evd),
     )
 
 

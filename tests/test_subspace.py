@@ -135,7 +135,6 @@ def test_weighted_signal_with_unit_eigenvalues_is_plain_signal():
         G=dec.G,
         lambda_s=np.ones(dec.K),
         lambda_n=dec.lambda_n,
-        sqrt_R=dec.sqrt_R,
     )
     grid = make_grid(64, 8)
     np.testing.assert_allclose(
