@@ -11,9 +11,31 @@ Attributes are resolved lazily so that ``import doalab`` stays cheap and the
 command line entry point can configure BLAS threading before numpy loads.
 """
 
+import os
 from importlib import import_module
 
 __version__ = "0.1.0"
+
+# Thread-count variables of the BLAS and OpenMP runtimes numpy may load.
+BLAS_THREAD_VARS = (
+    "OMP_NUM_THREADS",
+    "OPENBLAS_NUM_THREADS",
+    "MKL_NUM_THREADS",
+    "NUMEXPR_NUM_THREADS",
+    "VECLIB_MAXIMUM_THREADS",
+)
+
+
+def pin_blas_threads() -> None:
+    """Set each of BLAS_THREAD_VARS to 1 unless it is already set.
+
+    The runtimes read these once, when numpy loads, so the pin holds for
+    processes started afterwards and for this one only if numpy has not been
+    imported yet; a loaded BLAS keeps its thread count (threadpoolctl, which
+    could change it at run time, is not a dependency).
+    """
+    for var in BLAS_THREAD_VARS:
+        os.environ.setdefault(var, "1")
 
 # public name -> defining submodule
 _EXPORTS = {

@@ -1,7 +1,9 @@
 """Seeded Monte Carlo benchmark harness with CSV output.
 
-A sweep runs a grid of (sweep value x trial) scenarios.  Within a trial
-every method sees the identical observation and — when their order criteria
+A sweep runs a grid of (sweep value x trial) scenarios.  A trial draws its
+sample covariance directly (:func:`doalab.scenario.draw_covariance`, exact
+in distribution, without the M x L observation).  Within a trial every
+method sees the identical covariance draw and — when their order criteria
 match — the identical estimated target count, so metric differences are
 attributable to the estimators alone.  Only the estimate call itself is
 timed; synthesis, order selection, and scoring stay outside the clock.
@@ -25,6 +27,7 @@ from typing import get_type_hints
 
 import numpy as np
 
+from doalab import pin_blas_threads
 from doalab.fastgrid import make_grid
 from doalab.linalg import covariance_sqrt, hermitian_evd
 from doalab.methods import METHOD_IDS, estimate_method
@@ -35,8 +38,14 @@ from doalab.metrics import (
     rmse_common_hits,
 )
 from doalab.order import aic_rank, hybrid_order
-from doalab.scenario import GroundTruth, ScenarioConfig, draw_targets, synthesize_observation, trial_rng
-from doalab.subspace import sample_covariance
+from doalab.scenario import (
+    GroundTruth,
+    ScenarioConfig,
+    coefficient_gram,
+    draw_covariance,
+    draw_targets,
+    trial_rng,
+)
 
 SWEEP_PARAMETERS = ("snr_db", "targets", "subcarriers", "antennas")
 ORDER_CRITERIA = ("true-k", "rank-aic", "hybrid")
@@ -181,9 +190,12 @@ def run_trial(
     criteria: tuple | None = None,
     evaluator: str = "fft",
 ) -> TrialResult:
-    """Synthesize one scenario and score every method on it.
+    """Draw one scenario and score every method on it.
 
-    The observation, the search grid, and each order criterion's estimated
+    The trial's stream first draws the targets, then their sample
+    covariance (:func:`doalab.scenario.draw_covariance`, from the closed-form
+    coefficient Gram that also feeds the scene diagnostics).  The
+    covariance, the search grid, and each order criterion's estimated
     target count are computed once and shared across methods.  A method
     failure is captured in its outcome rather than raised, so one bad trial
     never aborts a sweep.
@@ -200,8 +212,8 @@ def run_trial(
         criteria = ("true-k",) * len(methods)
     rng = trial_rng(cfg.seed, trial_index)
     truth = draw_targets(cfg, rng)
-    obs = synthesize_observation(truth, cfg, rng)
-    R = sample_covariance(obs.Y)
+    gram = coefficient_gram(truth, cfg)
+    R = draw_covariance(truth, gram, cfg, rng)
     grid = make_grid(cfg.grid_points, cfg.antennas, cfg.element_phase_factor)
     M, L = cfg.antennas, cfg.snapshots
 
@@ -246,9 +258,7 @@ def run_trial(
             rmse=rmse[method],
             error=error,
         )
-    diag = diagnostics(
-        truth, obs.coeffs, M, cfg.symbols, cfg.subcarriers, cfg.element_phase_factor
-    )
+    diag = diagnostics(truth, gram, M, cfg.element_phase_factor)
     return TrialResult(
         trial_index=trial_index,
         truth=truth,
@@ -274,13 +284,19 @@ def _run_tasks(tasks: list, processes: int) -> list:
     ``processes - 1`` spawned children are fed CHUNK_TRIALS-trial chunks from
     the same cursor, at most CHUNKS_PER_CHILD outstanding per child, so
     nobody idles while trials remain and no child is spawned for a single
-    process.  Results are stored by task index.  On any exception the chunks
+    process.  The children are spawned with BLAS pinned to one thread
+    (:func:`doalab.pin_blas_threads`, which leaves variables the caller set
+    alone and stays set in the caller's environment); the calling process
+    keeps the thread count its BLAS loaded with.  Results are stored by
+    task index.  On any exception the chunks
     not yet started are cancelled and the exception is re-raised without
     waiting for the children's current chunks; either way the children exit
     in the background, reaped by the pool's own thread.
     """
     results, pending, cursor = [None] * len(tasks), {}, 0
     children = min(processes, len(tasks)) - 1
+    if children:
+        pin_blas_threads()
     pool = ProcessPoolExecutor(children, mp_context=get_context("spawn")) if children else None
     try:
         while cursor < len(tasks) or pending:
@@ -333,8 +349,12 @@ def run_sweep(
     runs trials itself beside ``workers - 1`` spawned children.  The count
     comes from ``workers``, the DOALAB_THREADS environment variable, or the
     CPU count; ``serial=True`` (like a count of 1) keeps every trial
-    in-process and spawns nothing, for clean timing.  Metric columns depend
-    only on the spec and seed; timing columns depend on the machine.
+    in-process and spawns nothing, for clean timing.  Spawned children run
+    with BLAS pinned to one thread unless the caller set the thread
+    variables itself; the calling process cannot be re-pinned once numpy is
+    loaded, so pin it before importing numpy (``doalab sweep`` does) for
+    its own trials to be single-threaded too.  Metric columns depend only
+    on the spec and seed; timing columns depend on the machine.
 
     Per-method trial failures are excluded from that method's aggregates; a
     sweep point where more than 5% of a method's trials failed is reported

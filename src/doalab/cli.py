@@ -11,16 +11,9 @@ the calling process included, so a sweep spawns DOALAB_THREADS - 1 children.
 
 from __future__ import annotations
 
-import os
+from doalab import pin_blas_threads
 
-for _var in (
-    "OMP_NUM_THREADS",
-    "OPENBLAS_NUM_THREADS",
-    "MKL_NUM_THREADS",
-    "NUMEXPR_NUM_THREADS",
-    "VECLIB_MAXIMUM_THREADS",
-):
-    os.environ.setdefault(_var, "1")
+pin_blas_threads()
 
 import argparse
 import sys

@@ -182,23 +182,22 @@ def diagonality_score(A: np.ndarray) -> float:
 
 def diagnostics(
     truth: GroundTruth,
-    coeffs: np.ndarray,
+    gram: np.ndarray,
     M: int,
-    D: int,
-    Q: int,
     phase_factor: float = math.pi,
 ) -> DiagnosticMetrics:
     """Scene-difficulty diagnostics from normalized Gram matrices.
 
-    The steering Gram ``A^H A / M`` measures angular separability; the
-    coefficient Gram ``B B^H / (D Q)`` measures how decorrelated the
+    The steering Gram ``A^H A / M`` measures angular separability; the K x K
+    coefficient Gram ``gram = C C^H`` (see
+    :func:`doalab.scenario.coefficient_gram`) measures how decorrelated the
     per-target signal histories are.  Both are summarized by their
-    diagonality score.  ``A`` steers the true angles with the array's
-    ``phase_factor`` (default pi, a half-wavelength array).
+    diagonality score, which does not depend on the Gram's scale.  ``A``
+    steers the true angles with the array's ``phase_factor`` (default pi, a
+    half-wavelength array).
     """
     A = steering_matrix(truth.doas, M, phase_factor)
     T = A.conj().T @ A / M
-    S = coeffs @ coeffs.conj().T / (D * Q)
     return DiagnosticMetrics(
-        t_metric=diagonality_score(T), s_metric=diagonality_score(S)
+        t_metric=diagonality_score(T), s_metric=diagonality_score(gram)
     )

@@ -5,6 +5,12 @@ by Q subcarriers of narrowband snapshots from K point targets.  Angles are
 kept in the normalized domain u = sin(theta) in [-1, 1) throughout; only the
 I/O layer ever talks degrees.
 
+Two ways to draw a trial's data share one coefficient model:
+:func:`synthesize_observation` builds the M x L observation itself, while
+:func:`draw_covariance` draws its sample covariance directly, exactly in
+distribution, from the K x K coefficient Gram of :func:`coefficient_gram`.
+The estimators and the benchmark read only the covariance.
+
 All randomness flows through an explicit numpy Generator so that a seed (or
 a per-trial stream derived from one) reproduces every draw bit-for-bit.
 """
@@ -220,6 +226,22 @@ def draw_targets(cfg: ScenarioConfig, rng: np.random.Generator) -> GroundTruth:
     )
 
 
+def _phase_ramps(truth: GroundTruth, cfg: ScenarioConfig) -> tuple:
+    """The three factors of the per-target coefficient model.
+
+    Returns the K carrier phases times amplitudes
+    ``alpha_k exp(-j 2 pi f_c tau_k)``, the K x D Doppler ramps
+    ``exp(+j 2 pi f_k d T_sym)`` and the K x Q range ramps
+    ``exp(-j 2 pi df tau_k q)``; target k's coefficient at symbol d,
+    subcarrier q is their product times that snapshot's data symbol.
+    """
+    D, Q = cfg.symbols, cfg.subcarriers
+    carrier = truth.amplitudes * np.exp(-2j * math.pi * cfg.carrier_freq_hz * truth.ranges)
+    ramp_d = np.exp(2j * math.pi * cfg.symbol_period_s * np.outer(truth.dopplers, np.arange(D)))
+    ramp_q = np.exp(-2j * math.pi * cfg.subcarrier_spacing_hz * np.outer(truth.ranges, np.arange(Q)))
+    return carrier, ramp_d, ramp_q
+
+
 def synthesize_observation(
     truth: GroundTruth, cfg: ScenarioConfig, rng: np.random.Generator
 ) -> Observation:
@@ -239,12 +261,7 @@ def synthesize_observation(
     """
     K = truth.doas.size
     D, Q, M = cfg.symbols, cfg.subcarriers, cfg.antennas
-    df = cfg.subcarrier_spacing_hz
-    t_sym = cfg.symbol_period_s
-
-    carrier = truth.amplitudes * np.exp(-2j * math.pi * cfg.carrier_freq_hz * truth.ranges)
-    ramp_q = np.exp(-2j * math.pi * df * np.outer(truth.ranges, np.arange(Q)))
-    ramp_d = np.exp(2j * math.pi * t_sym * np.outer(truth.dopplers, np.arange(D)))
+    carrier, ramp_d, ramp_q = _phase_ramps(truth, cfg)
     coeffs = carrier[:, None, None] * ramp_d[:, :, None] * ramp_q[:, None, :]
     coeffs = coeffs.reshape(K, D * Q)
     coeffs *= np.exp(1j * rng.uniform(0.0, 2.0 * math.pi, D * Q))  # data symbols
@@ -259,3 +276,106 @@ def synthesize_observation(
     Y = A @ coeffs
     Y += noise
     return Observation(Y=Y, coeffs=coeffs, truth=truth, noise=noise)
+
+
+def coefficient_gram(truth: GroundTruth, cfg: ScenarioConfig) -> np.ndarray:
+    """The K x K coefficient Gram ``coeffs @ coeffs^H`` of a trial, in closed form.
+
+    The unit-modulus data symbols cancel out of it, and the symbol-major
+    snapshot sum factors into the Hadamard product of ``carrier carrier^H``
+    with the Doppler-ramp Gram (over D symbols) and the range-ramp Gram
+    (over Q subcarriers), so it costs O(K^2 (D + Q)) instead of O(K^2 D Q).
+    """
+    carrier, ramp_d, ramp_q = _phase_ramps(truth, cfg)
+    gram = np.outer(carrier, carrier.conj())
+    gram *= ramp_d @ ramp_d.conj().T
+    gram *= ramp_q @ ramp_q.conj().T
+    return gram
+
+
+def complex_wishart(M: int, dof: int, rng: np.random.Generator) -> np.ndarray:
+    """One M x M draw of the complex Wishart CW_M(dof, I), i.e. of ``N N^H``
+    for an M x dof block N of i.i.d. CN(0, 1) entries.
+
+    With dof >= M it is ``T T^H`` for the lower-triangular Bartlett factor T:
+    ``|T_ii|^2`` is Gamma(dof - i, 1) for i = 0..M-1 and the entries below
+    the diagonal are CN(0, 1) (Goodman 1963), M(M+1)/2 draws instead of
+    M * dof.  With fewer degrees of freedom N is drawn explicitly; dof = 0
+    gives the zero matrix.
+    """
+    if dof < M:
+        N = np.empty((M, dof), dtype=complex)
+        N.real = rng.standard_normal((M, dof))
+        N.imag = rng.standard_normal((M, dof))
+        N *= math.sqrt(0.5)
+        return N @ N.conj().T
+    T = np.zeros((M, M), dtype=complex)
+    below = np.tril_indices(M, -1)
+    T[below] = math.sqrt(0.5) * (
+        rng.standard_normal(below[0].size) + 1j * rng.standard_normal(below[0].size)
+    )
+    T[np.diag_indices(M)] = np.sqrt(rng.standard_gamma(dof - np.arange(M)))
+    return T @ T.conj().T
+
+
+def gram_factor(gram: np.ndarray, rank: int) -> np.ndarray:
+    """K x rank factor Gamma of a K x K Hermitian PSD Gram, ``Gamma Gamma^H = gram``
+    up to rounding when the Gram's rank is at most ``rank``.
+
+    Columns are the ``rank`` dominant eigenvectors of numpy's ``eigh``
+    scaled by the square roots of their eigenvalues (negative rounding
+    clamped to zero).  It deliberately bypasses
+    :func:`doalab.linalg.hermitian_evd`, whose call counter counts the
+    estimators' eigendecompositions only.
+    """
+    w, V = np.linalg.eigh(gram)
+    w, V = w[::-1][:rank], V[:, ::-1][:, :rank]
+    return V * np.sqrt(np.maximum(w, 0.0))
+
+
+def covariance_from_parts(
+    A: np.ndarray, gamma: np.ndarray, n1: np.ndarray, noise_gram, snapshots: int
+) -> np.ndarray:
+    """``((A Gamma + N1)(A Gamma + N1)^H + W) / L``, symmetrized to exactly Hermitian.
+
+    This is ``Y Y^H / L`` for ``Y = A C + N`` once the noise is rotated onto
+    C's row space: with ``C = Gamma B`` for orthonormal rows B and B_perp
+    completing them, ``N = N1 B + N2 B_perp`` and ``W = N2 N2^H``.
+    ``noise_gram`` may be the scalar 0 (no noise beyond N1).
+    """
+    X = A @ gamma
+    X += n1
+    R = X @ X.conj().T
+    R += noise_gram
+    R /= snapshots
+    return 0.5 * (R + R.conj().T)
+
+
+def draw_covariance(
+    truth: GroundTruth, gram: np.ndarray, cfg: ScenarioConfig, rng: np.random.Generator
+) -> np.ndarray:
+    """Draw the sample covariance of :func:`synthesize_observation`'s Y without Y.
+
+    With ``gram = coefficient_gram(truth, cfg)`` and L = D Q snapshots, the
+    M x M result has exactly the distribution of ``Y Y^H / L``: rotating the
+    noise onto the coefficients' row space (r = min(K, L) dimensions) leaves
+    an M x r block N1 of i.i.d. CN(0, sigma^2) entries beside it and a
+    complement whose Gram is sigma^2 times a CW_M(L - r, I) draw (see
+    :func:`covariance_from_parts` and :func:`complex_wishart`).  So a trial
+    costs M r + M(M+1)/2 normal draws instead of M L, and no M x L array.
+    A noiseless scene (sigma^2 = 0) draws nothing and gives
+    ``A gram A^H / L``.  The draws continue ``rng`` after draw_targets, so
+    one (seed, trial) stream reproduces the covariance bit-for-bit.
+    """
+    M, L = cfg.antennas, cfg.snapshots
+    A = steering_matrix(truth.doas, M, cfg.element_phase_factor)
+    gamma = gram_factor(gram, min(gram.shape[0], L))
+    sigma2 = truth.noise_variance
+    if sigma2 == 0:
+        return covariance_from_parts(A, gamma, 0.0, 0.0, L)
+    r = gamma.shape[1]
+    n1 = np.empty((M, r), dtype=complex)
+    n1.real = rng.standard_normal((M, r))
+    n1.imag = rng.standard_normal((M, r))
+    n1 *= math.sqrt(sigma2 / 2.0)
+    return covariance_from_parts(A, gamma, n1, sigma2 * complex_wishart(M, L - r, rng), L)

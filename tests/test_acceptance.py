@@ -595,7 +595,7 @@ def test_criterion_13_diagnostic_means_grow_with_array_and_bandwidth():
             truth = draw_targets(cfg, rng)
             obs = synthesize_observation(truth, cfg, rng)
             d = diagnostics(
-                truth, obs.coeffs, cfg.antennas, cfg.symbols, cfg.subcarriers,
+                truth, obs.coeffs @ obs.coeffs.conj().T, cfg.antennas,
                 cfg.element_phase_factor,
             )
             t_vals.append(d.t_metric)

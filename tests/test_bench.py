@@ -4,6 +4,7 @@ import math
 import multiprocessing
 import os
 import warnings
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 from pathlib import Path
 from time import perf_counter, sleep
@@ -15,6 +16,7 @@ from hypothesis import strategies as st
 from scipy import stats
 
 import doalab.bench as bench
+from doalab import BLAS_THREAD_VARS
 from doalab.bench import (
     ORDER_CRITERIA,
     RESULT_FIELDS,
@@ -378,6 +380,40 @@ def test_run_sweep_trial_error_propagates_promptly():
     # chunk and the caller has none: the child's error must surface too.
     with pytest.raises(ValueError, match="could not draw 63 angles"):
         run_sweep(replace(spec, trials=2), workers=2)
+
+
+def test_run_sweep_pins_blas_threads_in_spawned_children(monkeypatch):
+    # Called from the library, not the CLI: the spawn path pins the BLAS
+    # thread variables before any child starts, so every child sees "1".
+    for var in BLAS_THREAD_VARS:
+        monkeypatch.delenv(var, raising=False)
+    seen = {}
+
+    class Pool(ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            seen.update({var: self.submit(os.getenv, var).result() for var in BLAS_THREAD_VARS})
+
+    monkeypatch.setattr(bench, "ProcessPoolExecutor", Pool)
+    run_sweep(sweep_spec(values=(20.0,), trials=2), workers=2)
+    assert seen == dict.fromkeys(BLAS_THREAD_VARS, "1")
+
+
+def test_run_trial_replays_in_a_spawned_child():
+    # A trial's covariance draw and every outcome depend on (seed, trial)
+    # only: the same trial run in a fresh spawned interpreter is identical.
+    cfg = small_cfg(targets=3, snr_db=10.0)
+    args = (cfg, 5, METHOD_IDS, None, "fft")
+    with ProcessPoolExecutor(1, mp_context=multiprocessing.get_context("spawn")) as pool:
+        theirs = pool.submit(run_trial, *args).result()
+    mine = run_trial(*args)
+    assert (mine.t_metric, mine.s_metric) == (theirs.t_metric, theirs.s_metric)
+    for method, out in mine.outcomes.items():
+        other = theirs.outcomes[method]
+        np.testing.assert_array_equal(out.estimates, other.estimates)
+        assert (out.hit_rate, out.fa_rate, out.youden_j, out.rmse, out.error) == (
+            other.hit_rate, other.fa_rate, other.youden_j, other.rmse, other.error
+        )
 
 
 def test_run_sweep_evaluators_agree_on_metrics():

@@ -278,7 +278,7 @@ def test_diagnostics_orthogonal_steering_scores_one():
         targets=3, antennas=M, subcarriers=32, symbols=4, grid_points=256, seed=0
     )
     obs = synthesize_observation(truth, cfg, trial_rng(0, 0))
-    diag = diagnostics(truth, obs.coeffs, M, cfg.symbols, cfg.subcarriers)
+    diag = diagnostics(truth, obs.coeffs @ obs.coeffs.conj().T, M)
     assert diag.t_metric == pytest.approx(1.0, abs=1e-12)
     assert 0.0 <= diag.s_metric <= 1.0
 
@@ -290,7 +290,7 @@ def test_diagnostics_single_target_is_trivially_diagonal():
     rng = trial_rng(cfg.seed, 0)
     truth = draw_targets(cfg, rng)
     obs = synthesize_observation(truth, cfg, rng)
-    diag = diagnostics(truth, obs.coeffs, 8, 4, 32)
+    diag = diagnostics(truth, obs.coeffs @ obs.coeffs.conj().T, 8)
     assert diag.t_metric == 1.0 and diag.s_metric == 1.0
 
 
@@ -306,6 +306,6 @@ def test_diagnostics_honors_phase_factor():
         targets=2, antennas=8, subcarriers=16, symbols=2, grid_points=256, seed=2
     )
     obs = synthesize_observation(truth, cfg, trial_rng(0, 0))
-    default = diagnostics(truth, obs.coeffs, 8, 2, 16)
-    stretched = diagnostics(truth, obs.coeffs, 8, 2, 16, phase_factor=1.0)
+    default = diagnostics(truth, obs.coeffs @ obs.coeffs.conj().T, 8)
+    stretched = diagnostics(truth, obs.coeffs @ obs.coeffs.conj().T, 8, phase_factor=1.0)
     assert default.t_metric != stretched.t_metric

@@ -1,4 +1,4 @@
-"""Scenario synthesis: configs, target draws, observations, RNG streams."""
+"""Scenario synthesis: configs, target draws, observations, covariance draws, RNG streams."""
 
 import math
 
@@ -11,12 +11,18 @@ from doalab import scenario
 from doalab.scenario import (
     GroundTruth,
     ScenarioConfig,
+    coefficient_gram,
+    complex_wishart,
+    covariance_from_parts,
+    draw_covariance,
     draw_targets,
+    gram_factor,
     steering_matrix,
     steering_vector,
     synthesize_observation,
     trial_rng,
 )
+from doalab.subspace import sample_covariance
 from reference_linalg import projectors
 
 
@@ -354,3 +360,137 @@ def test_ground_truth_accepts_hand_built_scenes():
     obs = synthesize_observation(truth, cfg, trial_rng(0, 0))
     assert obs.Y.shape == (cfg.antennas, cfg.snapshots)
     assert np.linalg.norm(obs.noise) == 0.0
+
+
+# ---------------------------------------------------------------- covariance draws
+
+# (targets, antennas, symbols, subcarriers): K = 1, L >= M, K < L < M, L < K.
+GRAM_SCENES = [(1, 8, 4, 32), (3, 8, 2, 16), (3, 8, 1, 6), (5, 8, 1, 3)]
+
+
+def scene_cfg(K, M, D, Q, **overrides):
+    return small_cfg(targets=K, antennas=M, symbols=D, subcarriers=Q, **overrides)
+
+
+def rel_err(a, b):
+    return np.linalg.norm(a - b) / np.linalg.norm(b)
+
+
+@pytest.mark.parametrize("K, M, D, Q", GRAM_SCENES)
+@pytest.mark.parametrize("trial", [0, 1])
+def test_coefficient_gram_matches_the_explicit_coefficients(K, M, D, Q, trial):
+    cfg = scene_cfg(K, M, D, Q)
+    rng = trial_rng(cfg.seed, trial)
+    truth = draw_targets(cfg, rng)
+    coeffs = synthesize_observation(truth, cfg, rng).coeffs
+    assert rel_err(coefficient_gram(truth, cfg), coeffs @ coeffs.conj().T) < 1e-12
+
+
+@pytest.mark.parametrize("K, M, D, Q", GRAM_SCENES)
+def test_covariance_formula_reproduces_the_explicit_sample_covariance(K, M, D, Q):
+    # Split one explicit noise draw N as N1 B + N2 B_perp, where the rows of
+    # B are an orthonormal basis of the coefficients' row space, so that
+    # C = Gamma B, and B_perp completes them; the sampler's formula then
+    # gives sample_covariance(A C + N), up to rounding.
+    cfg = scene_cfg(K, M, D, Q)
+    rng = trial_rng(cfg.seed, 2)
+    truth = draw_targets(cfg, rng)
+    obs = synthesize_observation(truth, cfg, rng)
+    C, N, L = obs.coeffs, obs.noise, cfg.snapshots
+    r = min(K, L)
+    rows = np.linalg.svd(C)[2]
+    B, B_perp = rows[:r], rows[r:]
+    gamma = C @ B.conj().T
+    assert rel_err(gamma @ B, C) < 1e-12
+    N1, N2 = N @ B.conj().T, N @ B_perp.conj().T
+    assert rel_err(N1 @ B + N2 @ B_perp, N) < 1e-12
+    A = steering_matrix(truth.doas, M, cfg.element_phase_factor)
+    R = covariance_from_parts(A, gamma, N1, N2 @ N2.conj().T, L)
+    assert rel_err(R, sample_covariance(obs.Y)) < 1e-12
+    np.testing.assert_array_equal(R, R.conj().T)
+    # The sampler's own factor differs from gamma by an r x r unitary only.
+    mine = gram_factor(C @ C.conj().T, r)
+    assert mine.shape == (K, r)
+    assert rel_err(mine @ mine.conj().T, gamma @ gamma.conj().T) < 1e-12
+
+
+@pytest.mark.parametrize("dof", [0, 2, 4, 7])
+def test_complex_wishart_moments(dof):
+    # dof >= M = 4 takes the Bartlett factor, fewer an explicit block.  For
+    # W = N N^H with N of i.i.d. CN(0, 1) entries: E W = dof I, Var W_ii =
+    # dof, and an off-diagonal entry is circular with E|W_ij|^2 = dof.
+    M, draws = 4, 4000
+    rng = np.random.default_rng(31)
+    W = np.array([complex_wishart(M, dof, rng) for _ in range(draws)])
+    assert W.shape == (draws, M, M)
+    np.testing.assert_array_equal(W, np.conj(np.swapaxes(W, 1, 2)))
+    if dof == 0:
+        assert not W.any()
+        return
+    off = ~np.eye(M, dtype=bool)
+    se = math.sqrt(dof / draws)  # standard error of one entry's mean
+    np.testing.assert_allclose(W.mean(axis=0), dof * np.eye(M), atol=5 * se)
+    diag = W[:, np.arange(M), np.arange(M)]
+    assert not diag.imag.any()
+    np.testing.assert_allclose(diag.real.var(axis=0), dof, rtol=0.15)
+    np.testing.assert_allclose(np.mean(np.abs(W[:, off]) ** 2, axis=0), dof, rtol=0.15)
+    np.testing.assert_allclose(np.mean(W[:, off].real ** 2, axis=0), dof / 2, rtol=0.15)
+    np.testing.assert_allclose(np.mean(W[:, off].imag ** 2, axis=0), dof / 2, rtol=0.15)
+
+
+@pytest.mark.parametrize("K, M, D, Q", GRAM_SCENES)
+def test_noiseless_draw_is_the_signal_covariance(K, M, D, Q):
+    cfg = scene_cfg(K, M, D, Q, snr_db=math.inf)
+    rng = trial_rng(cfg.seed, 0)
+    truth = draw_targets(cfg, rng)
+    gram = coefficient_gram(truth, cfg)
+    state = rng.bit_generator.state
+    R = draw_covariance(truth, gram, cfg, rng)
+    assert rng.bit_generator.state == state  # nothing drawn
+    A = steering_matrix(truth.doas, M, cfg.element_phase_factor)
+    assert rel_err(R, A @ gram @ A.conj().T / cfg.snapshots) < 1e-12
+
+
+@pytest.mark.parametrize("K, M, D, Q", GRAM_SCENES)
+def test_covariance_draw_is_hermitian_psd_with_the_snapshot_rank(K, M, D, Q):
+    # L - min(K, L) >= M uses the Bartlett factor, fewer the explicit block,
+    # and L <= K no complement at all; R = Y Y^H / L has rank min(M, L).
+    cfg = scene_cfg(K, M, D, Q)
+    rng = trial_rng(cfg.seed, 4)
+    truth = draw_targets(cfg, rng)
+    R = draw_covariance(truth, coefficient_gram(truth, cfg), cfg, rng)
+    np.testing.assert_array_equal(R, R.conj().T)
+    w = np.linalg.eigvalsh(R)
+    rank = min(M, cfg.snapshots)
+    assert np.all(w > -1e-12 * w[-1])
+    assert np.all(w[M - rank :] > 1e-9 * w[-1])
+    assert np.all(np.abs(w[: M - rank]) < 1e-12 * w[-1])
+
+
+@pytest.mark.parametrize("K, M, D, Q", GRAM_SCENES)
+def test_covariance_draw_mean_is_the_model_covariance(K, M, D, Q):
+    # E R = A gram A^H / L + sigma^2 I on every path, as for Y Y^H / L.
+    cfg = scene_cfg(K, M, D, Q, snr_db=0.0)
+    truth = draw_targets(cfg, trial_rng(cfg.seed, 0))
+    gram = coefficient_gram(truth, cfg)
+    rng = np.random.default_rng(8)
+    draws = 3000
+    mean = sum(draw_covariance(truth, gram, cfg, rng) for _ in range(draws)) / draws
+    A = steering_matrix(truth.doas, M, cfg.element_phase_factor)
+    L, sigma2 = cfg.snapshots, truth.noise_variance
+    model = A @ gram @ A.conj().T / L + sigma2 * np.eye(M)
+    # Each entry's sd is at most sqrt(R_ii R_jj / L); 5 standard errors.
+    sd = np.sqrt(np.outer(np.diag(model).real, np.diag(model).real) / L)
+    assert np.all(np.abs(mean - model) < 5 * sd / math.sqrt(draws))
+
+
+def test_covariance_draw_replays_per_trial_stream():
+    cfg = small_cfg()
+
+    def draw(trial):
+        rng = trial_rng(cfg.seed, trial)
+        truth = draw_targets(cfg, rng)
+        return draw_covariance(truth, coefficient_gram(truth, cfg), cfg, rng)
+
+    np.testing.assert_array_equal(draw(3), draw(3))
+    assert not np.array_equal(draw(3), draw(4))
