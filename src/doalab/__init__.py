@@ -52,6 +52,8 @@ _EXPORTS = {
     "steering_matrix": "doalab.scenario",
     "draw_targets": "doalab.scenario",
     "synthesize_observation": "doalab.scenario",
+    "coefficient_gram": "doalab.scenario",
+    "draw_covariance": "doalab.scenario",
     "trial_rng": "doalab.scenario",
     # fastgrid
     "DoaGrid": "doalab.fastgrid",

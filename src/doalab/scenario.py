@@ -242,6 +242,17 @@ def _phase_ramps(truth: GroundTruth, cfg: ScenarioConfig) -> tuple:
     return carrier, ramp_d, ramp_q
 
 
+def _complex_normal(rng: np.random.Generator, shape, variance: float) -> np.ndarray:
+    """i.i.d. circular CN(0, variance) entries, variance/2 per real component
+    (all real parts drawn first, then all imaginary parts)."""
+    z = np.empty(shape, dtype=complex)
+    part = np.empty(shape)
+    z.real = rng.standard_normal(out=part)
+    z.imag = rng.standard_normal(out=part)
+    z *= math.sqrt(variance / 2.0)
+    return z
+
+
 def synthesize_observation(
     truth: GroundTruth, cfg: ScenarioConfig, rng: np.random.Generator
 ) -> Observation:
@@ -266,11 +277,7 @@ def synthesize_observation(
     coeffs = coeffs.reshape(K, D * Q)
     coeffs *= np.exp(1j * rng.uniform(0.0, 2.0 * math.pi, D * Q))  # data symbols
 
-    noise = np.empty((M, D * Q), dtype=complex)
-    part = np.empty((M, D * Q))
-    noise.real = rng.standard_normal(out=part)
-    noise.imag = rng.standard_normal(out=part)
-    noise *= math.sqrt(truth.noise_variance / 2.0)
+    noise = _complex_normal(rng, (M, D * Q), truth.noise_variance)
 
     A = steering_matrix(truth.doas, M, cfg.element_phase_factor)
     Y = A @ coeffs
@@ -304,16 +311,11 @@ def complex_wishart(M: int, dof: int, rng: np.random.Generator) -> np.ndarray:
     gives the zero matrix.
     """
     if dof < M:
-        N = np.empty((M, dof), dtype=complex)
-        N.real = rng.standard_normal((M, dof))
-        N.imag = rng.standard_normal((M, dof))
-        N *= math.sqrt(0.5)
+        N = _complex_normal(rng, (M, dof), 1.0)
         return N @ N.conj().T
     T = np.zeros((M, M), dtype=complex)
     below = np.tril_indices(M, -1)
-    T[below] = math.sqrt(0.5) * (
-        rng.standard_normal(below[0].size) + 1j * rng.standard_normal(below[0].size)
-    )
+    T[below] = _complex_normal(rng, below[0].size, 1.0)
     T[np.diag_indices(M)] = np.sqrt(rng.standard_gamma(dof - np.arange(M)))
     return T @ T.conj().T
 
@@ -374,8 +376,5 @@ def draw_covariance(
     if sigma2 == 0:
         return covariance_from_parts(A, gamma, 0.0, 0.0, L)
     r = gamma.shape[1]
-    n1 = np.empty((M, r), dtype=complex)
-    n1.real = rng.standard_normal((M, r))
-    n1.imag = rng.standard_normal((M, r))
-    n1 *= math.sqrt(sigma2 / 2.0)
+    n1 = _complex_normal(rng, (M, r), sigma2)
     return covariance_from_parts(A, gamma, n1, sigma2 * complex_wishart(M, L - r, rng), L)

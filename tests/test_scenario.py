@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from doalab import scenario
+from doalab.linalg import evd_call_count
 from doalab.scenario import (
     GroundTruth,
     ScenarioConfig,
@@ -455,10 +456,14 @@ def test_noiseless_draw_is_the_signal_covariance(K, M, D, Q):
 def test_covariance_draw_is_hermitian_psd_with_the_snapshot_rank(K, M, D, Q):
     # L - min(K, L) >= M uses the Bartlett factor, fewer the explicit block,
     # and L <= K no complement at all; R = Y Y^H / L has rank min(M, L).
+    # The draw's own factorization is not an estimator EVD: the counter
+    # behind criterion 7 must not move.
     cfg = scene_cfg(K, M, D, Q)
     rng = trial_rng(cfg.seed, 4)
     truth = draw_targets(cfg, rng)
+    evds = evd_call_count()
     R = draw_covariance(truth, coefficient_gram(truth, cfg), cfg, rng)
+    assert evd_call_count() == evds
     np.testing.assert_array_equal(R, R.conj().T)
     w = np.linalg.eigvalsh(R)
     rank = min(M, cfg.snapshots)
