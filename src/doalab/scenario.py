@@ -364,7 +364,8 @@ def draw_covariance(
     an M x r block N1 of i.i.d. CN(0, sigma^2) entries beside it and a
     complement whose Gram is sigma^2 times a CW_M(L - r, I) draw (see
     :func:`covariance_from_parts` and :func:`complex_wishart`).  So a trial
-    costs M r + M(M+1)/2 normal draws instead of M L, and no M x L array.
+    costs at most M r + M(M+1)/2 draws (complex normals, and the Bartlett
+    diagonal's gammas) instead of M L complex normals, and no M x L array.
     A noiseless scene (sigma^2 = 0) draws nothing and gives
     ``A gram A^H / L``.  The draws continue ``rng`` after draw_targets, so
     one (seed, trial) stream reproduces the covariance bit-for-bit.
