@@ -104,10 +104,18 @@ def covariance_sqrt(evd: HermitianEvd) -> np.ndarray:
     rounding.
 
     Raises:
-        ValueError: If any eigenvalue is negative (beyond the clamp already
-            applied by :func:`hermitian_evd`).
+        ValueError: If any eigenvalue is negative (see :func:`require_psd`).
     """
-    w = np.asarray(evd.eigenvalues, dtype=float)
-    if np.any(w < 0):
+    require_psd(evd)
+    return evd.eigenvectors * np.sqrt(evd.eigenvalues)[None, :]
+
+
+def require_psd(evd: HermitianEvd) -> None:
+    """Reject a matrix that is not positive semidefinite.
+
+    Raises:
+        ValueError: If any eigenvalue is negative beyond the clamp already
+            applied by :func:`hermitian_evd`.
+    """
+    if np.any(np.asarray(evd.eigenvalues) < 0):
         raise ValueError("negative eigenvalue: matrix is not positive semidefinite")
-    return evd.eigenvectors * np.sqrt(w)[None, :]

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from doalab.linalg import hermitian_evd
+from doalab.linalg import HermitianEvd, covariance_sqrt, hermitian_evd, require_psd
 
 
 @dataclass(frozen=True)
@@ -48,10 +48,16 @@ class SubspaceDecomposition:
 
     @property
     def sqrt_R(self) -> np.ndarray:
-        """Canonical covariance square root, built on each access: its first
-        K columns are S scaled by sqrt(lambda_s) and the rest G scaled by
-        sqrt(lambda_n), so subspace and square-root views agree exactly."""
-        return np.concatenate([self.weighted_signal(), self.weighted_noise()], axis=1)
+        """Canonical covariance square root (:func:`covariance_sqrt`), built
+        on each access: its first K columns are S scaled by sqrt(lambda_s)
+        and the rest G scaled by sqrt(lambda_n), so subspace and square-root
+        views agree exactly."""
+        return covariance_sqrt(
+            HermitianEvd(
+                eigenvalues=np.concatenate((self.lambda_s, self.lambda_n)),
+                eigenvectors=np.concatenate((self.S, self.G), axis=1),
+            )
+        )
 
 
 def sample_covariance(Y: np.ndarray) -> np.ndarray:
@@ -75,12 +81,14 @@ def partition(R: np.ndarray, K: int) -> SubspaceDecomposition:
         K: Signal subspace dimension, 1 <= K < M.
 
     Raises:
-        ValueError: If K is out of range.
+        ValueError: If K is out of range, or R is not Hermitian or not
+            positive semidefinite.
     """
     M = R.shape[0]
     if not 1 <= K < M:
         raise ValueError(f"K must satisfy 1 <= K < M, got K={K}, M={M}")
     evd = hermitian_evd(R)
+    require_psd(evd)
     return SubspaceDecomposition(
         S=evd.eigenvectors[:, :K],
         G=evd.eigenvectors[:, K:],

@@ -10,7 +10,7 @@ from hypothesis.extra import numpy as hnp
 
 from conftest import random_complex, random_covariance
 from doalab.fastgrid import SAT_VALUE, make_grid
-from doalab.methods import estimate_method, pseudospectrum
+from doalab.methods import METHOD_IDS, estimate_method, pseudospectrum
 from doalab.scenario import (
     GroundTruth,
     ScenarioConfig,
@@ -88,6 +88,17 @@ def test_partition_rejects_bad_K():
     for K in (0, 4, 5):
         with pytest.raises(ValueError):
             partition(R, K)
+
+
+@pytest.mark.parametrize("method", METHOD_IDS)
+def test_estimate_method_rejects_indefinite_covariance(method):
+    # Every method reads its operand off partition(), so none may return
+    # angles computed from square roots of negative eigenvalues.
+    Q, _ = np.linalg.qr(random_complex(np.random.default_rng(5), 6, 6))
+    R = (Q * [3.0, 2.0, 1.0, 0.5, 0.2, -1.0]) @ Q.conj().T
+    R = 0.5 * (R + R.conj().T)
+    with pytest.raises(ValueError, match="positive semidefinite"):
+        estimate_method(method, R, 2, make_grid(64, 6))
 
 
 def test_weighted_operands_scale_columns():

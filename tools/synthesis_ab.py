@@ -1,11 +1,12 @@
 """Seeded A/B of the two ways to draw a trial: the explicit observation
 against the covariance-domain draw that ``run_trial`` uses.
 
-    PYTHONPATH=src python3 tools/synthesis_ab.py [--quick] [--trials N] [--workers W]
+    PYTHONPATH=src python3 tools/synthesis_ab.py [--quick] [--workers W]
 
-Reads the scene, SNR values, methods and seed of ``demos/snr_sweep.cfg``.
-Trial t at each SNR draws its targets from ``trial_rng(seed, t)``, so both
-arms see the same scene (the pairing); the stream then goes on to either
+Reads the scene, SNR values, methods and seed of ``demos/snr_sweep.cfg``
+and runs ``TRIALS`` trials per SNR.  Trial t at each SNR draws its targets
+from ``trial_rng(seed, t)``, so both arms see the same scene (the pairing);
+the stream then goes on to either
 
 - ``explicit``: ``synthesize_observation`` and ``sample_covariance`` of the
   M x L observation, or
@@ -19,8 +20,8 @@ paired difference (covariance - explicit), its standard error and
 z = difference / SE; then, per SNR, the mean and sd of the noise eigenvalues
 (the M - K smallest of R, in units of sigma^2) on each arm and the paired z
 of their per-trial means; and last the largest |z| of the metric cells.
-The exit status is 1 when that exceeds ``--bound`` (default 3.5, a
-Bonferroni-level 5% family-wise bound for 75 cells).  ``--quick`` runs 3
+The exit status is 1 when that exceeds ``BOUND`` (3.5, a Bonferroni-level
+5% family-wise bound for 75 cells).  ``--quick`` runs ``QUICK_TRIALS``
 trials per SNR and checks no bound.
 """
 
@@ -53,7 +54,9 @@ from doalab.subspace import sample_covariance
 CONFIG = Path(__file__).resolve().parents[1] / "demos" / "snr_sweep.cfg"
 ARMS = ("explicit", "covariance")
 METRICS = ("hit_rate", "fa_rate", "youden_j")
+TRIALS = 2000
 QUICK_TRIALS = 3
+BOUND = 3.5
 CHUNK_TRIALS = 50
 
 
@@ -107,12 +110,10 @@ def paired(a: np.ndarray, b: np.ndarray) -> tuple:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--quick", action="store_true", help=f"{QUICK_TRIALS} trials per SNR")
-    parser.add_argument("--trials", type=int, default=2000, help="trials per SNR")
     parser.add_argument("--workers", type=int, default=1, help="processes, this one included")
-    parser.add_argument("--bound", type=float, default=3.5, help="largest |z| allowed")
     args = parser.parse_args(argv)
     spec = parse_config(str(CONFIG))
-    trials = QUICK_TRIALS if args.quick else args.trials
+    trials = QUICK_TRIALS if args.quick else TRIALS
     methods = spec.methods
     print(
         f"scene: {CONFIG.name}, seed {spec.base.seed}, {trials} trials per SNR, "
@@ -163,9 +164,9 @@ def main(argv=None) -> int:
     if args.quick:
         print(f"\nlargest |z| over {cells} cells: {worst:.2f} (quick run: bound not checked)")
         return 0
-    verdict = "within" if worst <= args.bound else "OUTSIDE"
-    print(f"\nlargest |z| over {cells} cells: {worst:.2f} ({verdict} {args.bound:g})")
-    return 0 if worst <= args.bound else 1
+    verdict = "within" if worst <= BOUND else "OUTSIDE"
+    print(f"\nlargest |z| over {cells} cells: {worst:.2f} ({verdict} {BOUND:g})")
+    return 0 if worst <= BOUND else 1
 
 
 if __name__ == "__main__":
