@@ -62,6 +62,28 @@ TRIM_FRACTION = 0.05
 CHUNK_TRIALS = 2
 CHUNKS_PER_CHILD = 2
 
+_SCENARIO_TYPES = get_type_hints(ScenarioConfig)
+
+
+def _check_trial_args(methods: tuple, criteria: tuple, evaluator: str) -> None:
+    """The argument checks of ``run_trial`` (see its Raises), shared with
+    ``SweepSpec.validate``."""
+    if len(set(methods)) != len(methods):
+        raise ValueError("method ids must be unique")
+    for m in methods:
+        if m not in METHOD_IDS:
+            raise ValueError(f"unknown method id: {m!r}")
+    if len(criteria) != len(methods):
+        raise ValueError(
+            f"order_criterion must be one token or one per method, "
+            f"got {len(criteria)} for {len(methods)} methods"
+        )
+    for c in criteria:
+        if c not in ORDER_CRITERIA:
+            raise ValueError(f"unknown order criterion in order_criterion: {c!r}")
+    if evaluator not in EVALUATORS:
+        raise ValueError(f"unknown evaluator: {evaluator!r}")
+
 
 @dataclass(frozen=True)
 class SweepSpec:
@@ -98,27 +120,24 @@ class SweepSpec:
         return tuple(oc)
 
     def validate(self) -> None:
+        """Raise ValueError on anything the sweep cannot run as given,
+        including a value that the swept field's type would change (2.5
+        targets)."""
         if self.parameter not in SWEEP_PARAMETERS:
             raise ValueError(f"unknown sweep parameter: {self.parameter!r}")
         if not self.values:
             raise ValueError("values must be non-empty")
+        kind = _SCENARIO_TYPES[self.parameter]
+        for value in self.values:
+            if kind(value) != value:
+                raise ValueError(
+                    f"{self.parameter} value {value!r} is not a valid {kind.__name__}"
+                )
         if not self.methods:
             raise ValueError("methods must be non-empty")
-        if len(set(self.methods)) != len(self.methods):
-            raise ValueError("method ids must be unique")
-        for m in self.methods:
-            if m not in METHOD_IDS:
-                raise ValueError(f"unknown method id: {m!r}")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
-        crits = self.criteria
-        if len(crits) != len(self.methods):
-            raise ValueError("order_criterion must be one token or one per method")
-        for c in crits:
-            if c not in ORDER_CRITERIA:
-                raise ValueError(f"unknown order criterion in order_criterion: {c!r}")
-        if self.evaluator not in EVALUATORS:
-            raise ValueError(f"unknown evaluator: {self.evaluator!r}")
+        _check_trial_args(self.methods, self.criteria, self.evaluator)
         self.base.validate()
 
 
@@ -196,9 +215,10 @@ def run_trial(
     covariance (:func:`doalab.scenario.draw_covariance`, from the closed-form
     coefficient Gram that also feeds the scene diagnostics).  The
     covariance, the search grid, and each order criterion's estimated
-    target count are computed once and shared across methods.  A method
-    failure is captured in its outcome rather than raised, so one bad trial
-    never aborts a sweep.
+    target count are computed once and shared across methods.  A failure
+    inside an estimate is captured in its outcome rather than raised, so one
+    bad trial never aborts a sweep; arguments no trial could run are
+    rejected before anything is drawn.
 
     Args:
         cfg: Scenario configuration (its seed plus ``trial_index`` fix the
@@ -207,9 +227,15 @@ def run_trial(
         methods: Method ids to run.
         criteria: Per-method order criterion (default: true-k for all).
         evaluator: "fft" or "direct".
+
+    Raises:
+        ValueError: On a duplicate or unknown method id, a criteria tuple
+            whose length is not the method count, an unknown order
+            criterion, or an unknown evaluator.
     """
     if criteria is None:
         criteria = ("true-k",) * len(methods)
+    _check_trial_args(methods, criteria, evaluator)
     rng = trial_rng(cfg.seed, trial_index)
     truth = draw_targets(cfg, rng)
     gram = coefficient_gram(truth, cfg)
@@ -269,8 +295,7 @@ def run_trial(
 
 
 def _apply_sweep_value(base: ScenarioConfig, parameter: str, value) -> ScenarioConfig:
-    kind = get_type_hints(ScenarioConfig)[parameter]
-    return replace(base, **{parameter: kind(value)})
+    return replace(base, **{parameter: _SCENARIO_TYPES[parameter](value)})
 
 
 def _run_chunk(tasks):

@@ -20,14 +20,16 @@ half-wavelength ULA, both landing in ascending-angle order:
   trigonometric polynomial evaluated by a single length-N inverse FFT of H's
   diagonal sums: O(M^2 r + N log N), independent of r past the Gram product.
 
-Projector denominators take the quadratic form (a projector is its own Gram
-matrix), and so do reciprocal (noise-form) objectives, whose operands are
-the wide ones: there, every point below a small threshold is recomputed as
-an exact sum of squares, because their saturation test needs vanishing norms
-to come out nonnegative, whereas the quadratic form reaches zero by
-cancellation and can land a hair below it.  The direct evaluator, and any
-grid with another phase factor, takes the product with the stored steering
-matrix instead of the FFTs.
+Only reciprocal (noise-form) objectives, whose operands are the wide ones,
+take the quadratic form, and every point below a small threshold is then
+recomputed as an exact sum of squares, because their saturation test needs
+vanishing norms to come out nonnegative, whereas the quadratic form reaches
+zero by cancellation and can land a hair below it.  The greedy engine's
+projected steering norms ``||Pc a||^2`` take neither route: they start at M
+and fall by ``|q^H a|^2`` for each new basis column q, from that column's
+correlations (see :mod:`doalab.greedy`).  The direct evaluator, and any grid
+with another phase factor, takes the product with the stored steering matrix
+instead of the FFTs.
 """
 
 from __future__ import annotations
@@ -56,8 +58,7 @@ MASK_RTOL = 1e-9
 # objectives peak and saturate.
 REFINE_RTOL = 1e-4
 
-# Algebraic forms of a grid objective over an operand X (see objective_values).
-FORMS = ("norm", "reciprocal", "ratio", "complement-ratio")
+# Greedy objective forms that divide by ||Pc a||^2 (see apply_form).
 RATIO_FORMS = ("ratio", "complement-ratio")
 
 
@@ -83,11 +84,7 @@ class DoaGrid:
 
 @dataclass(frozen=True)
 class Pseudospectrum:
-    """Objective values over a search grid.
-
-    Ratio-form objectives mark excluded candidates with ``-inf``; all other
-    forms are finite and non-negative.
-    """
+    """A spectral objective's finite, non-negative values over a search grid."""
 
     values: np.ndarray
     grid: DoaGrid
@@ -266,62 +263,42 @@ def apply_form(
 
 
 def objective_values(
-    num: np.ndarray,
-    grid: DoaGrid,
-    form: str,
-    evaluator: str = "fft",
-    pc: np.ndarray | None = None,
+    num: np.ndarray, grid: DoaGrid, form: str, evaluator: str = "fft"
 ) -> np.ndarray:
-    """Evaluate one objective form over the grid.
+    """Evaluate a spectral objective form over the grid.
 
     Args:
-        num: Numerator operand (subspace, weighted subspace, or square-root
-            residual matrix) with M rows.
+        num: Operand (subspace or weighted subspace) with M rows.
         grid: Search grid.
-        form: One of FORMS: "norm" scores ``||num^H a||^2``; "reciprocal"
-            its inverse, with saturation; "ratio" divides it by the
-            projected steering norm ``||Pc a||^2`` and "complement-ratio"
-            is one minus that ratio, both masking degenerate candidates.
-        evaluator: "fft" or "direct"; both agree to 1e-8 relative.  The
-            "norm" and ratio numerators are the squared columns of
-            grid_correlations, so each method's cost scales with its own
-            operand width; on the fft path, reciprocal forms instead take
-            the width-independent quadratic-form route with exact
-            refinement of near-null points.
-        pc: Orthogonal-complement projector, required by ratio forms; it is
-            Hermitian idempotent, hence its own Gram matrix, so on the fft
-            path the denominator ``||Pc a||^2 = a^H Pc a`` is a single
-            quadratic-form transform with no matrix product at all.
+        form: "norm" scores ``||num^H a||^2``, the squared columns of
+            grid_correlations, so its cost scales with the operand's width;
+            "reciprocal" scores its inverse, with saturation.
+        evaluator: "fft" or "direct"; both agree to 1e-8 relative.  On the
+            fft path the reciprocal form takes the width-independent
+            quadratic-form route with exact refinement of near-null points.
 
     Returns:
         Length-N value array aligned with ``grid.angles``.
 
     Raises:
-        ValueError: On an unknown form, or a ratio form without ``pc``.
+        ValueError: On a form other than "norm" and "reciprocal".
     """
-    if form not in FORMS:
+    if form == "norm":
+        return colnorms_sq(num, grid, evaluator)
+    if form != "reciprocal":
         raise ValueError(f"unknown objective form: {form!r}")
     M = num.shape[0]
-    quad = evaluator == "fft" and grid.phase_factor == math.pi
-    if form == "reciprocal":
-        if quad:
-            values = _refined_colnorms_sq(num, grid)
-        else:
-            values = colnorms_sq(num, grid, evaluator)
-        # Normalized so that c * R selects what R selects (eigenvalue-weighted
-        # operands scale with sqrt(c)); an orthonormal operand has scale 1.
-        scale = np.max(np.sum(num.real**2 + num.imag**2, axis=0), initial=0.0)
-        if scale > 0:
-            values = values / scale
-        sat = values < SAT_RTOL * M
-        out = np.empty_like(values)
-        out[~sat] = 1.0 / values[~sat]
-        out[sat] = SAT_VALUE
-        return out
-    values = colnorms_sq(num, grid, evaluator)
-    if form == "norm":
-        return values
-    if pc is None:
-        raise ValueError(f"form {form!r} needs the complement projector")
-    denom = quadform_fft(pc, grid) if quad else colnorms_sq(pc, grid, evaluator)
-    return apply_form(values, form, denom, denom < MASK_RTOL * M)
+    if evaluator == "fft" and grid.phase_factor == math.pi:
+        values = _refined_colnorms_sq(num, grid)
+    else:
+        values = colnorms_sq(num, grid, evaluator)
+    # Normalized so that c * R selects what R selects (eigenvalue-weighted
+    # operands scale with sqrt(c)); an orthonormal operand has scale 1.
+    scale = np.max(np.sum(num.real**2 + num.imag**2, axis=0), initial=0.0)
+    if scale > 0:
+        values = values / scale
+    sat = values < SAT_RTOL * M
+    out = np.empty_like(values)
+    out[~sat] = 1.0 / values[~sat]
+    out[sat] = SAT_VALUE
+    return out

@@ -74,12 +74,6 @@ class GreedyState:
         """M x len(selected) orthonormal basis of the selected steering span."""
         return self.basis[:, : len(self.selected)]
 
-    @property
-    def Pc(self) -> np.ndarray:
-        """M x M projector ``I - Q Q^H`` onto the complement of the span."""
-        k = len(self.selected)
-        return np.eye(self.basis.shape[0], dtype=complex) - self.Q @ self.basis_h[:k]
-
 
 def initial_state(X: np.ndarray, grid: DoaGrid, evaluator: str = "fft") -> GreedyState:
     """State before any selection: the residual is X, transformed once."""

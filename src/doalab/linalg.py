@@ -29,12 +29,6 @@ def evd_call_count() -> int:
     return _evd_calls
 
 
-def reset_evd_calls() -> None:
-    """Reset the eigendecomposition call counter (test hook)."""
-    global _evd_calls
-    _evd_calls = 0
-
-
 @dataclass(frozen=True)
 class HermitianEvd:
     """Eigenpairs of a Hermitian matrix, eigenvalues sorted descending.

@@ -6,7 +6,9 @@ Each estimator is one row of three choices:
   (:func:`doalab.subspace.partition`): the signal eigenvectors S, the noise
   eigenvectors G, either scaled by the square roots of its eigenvalues, or
   the covariance square root;
-* its objective form (:func:`doalab.fastgrid.objective_values`);
+* its objective form: "norm" or "reciprocal" for a spectral row
+  (:func:`doalab.fastgrid.objective_values`), "norm" or a ratio form for a
+  greedy one (:func:`doalab.fastgrid.apply_form`);
 * spectral or greedy: score the grid once and report the K largest peaks, or
   run K iterations of the engine in :mod:`doalab.greedy`.  Either way the
   operand is transformed onto the grid once per estimate; a greedy estimate
@@ -32,7 +34,6 @@ import numpy as np
 
 from doalab.fastgrid import DoaGrid, Pseudospectrum, objective_values
 from doalab.greedy import greedy_step, initial_state
-from doalab.linalg import hermitian_evd
 from doalab.subspace import SubspaceDecomposition, partition, select_peak_indices
 
 
@@ -41,7 +42,8 @@ class Method(NamedTuple):
 
     Attributes:
         operand: The decomposition's matrix the objective is scored on.
-        form: Objective form, one of ``fastgrid.FORMS``.
+        form: Objective form: "norm", "reciprocal" (spectral only), or one of
+            ``fastgrid.RATIO_FORMS`` (greedy only).
         greedy: Select one angle per iteration (True) or the K largest
             peaks of one spectrum (False).
     """
@@ -107,7 +109,6 @@ def estimate_method(
     K: int,
     grid: DoaGrid,
     evaluator: str = "fft",
-    emulate_evd_per_iter: bool = False,
 ) -> np.ndarray:
     """Run one estimator on a sample covariance.
 
@@ -118,12 +119,6 @@ def estimate_method(
             method cannot run without a model order).
         grid: Search grid.
         evaluator: "fft" or "direct".
-        emulate_evd_per_iter: Greedy methods only.  Reproduces the cost
-            profile of iterative-MUSIC schemes that re-decompose the
-            residual covariance every iteration: each iteration past the
-            first runs one extra eigendecomposition whose result is
-            discarded, so selections are unchanged while the
-            eigendecomposition count becomes K instead of 1.
 
     Returns:
         K distinct estimated normalized angles (selection order for greedy
@@ -135,8 +130,7 @@ def estimate_method(
         selected are picked.
 
     Raises:
-        ValueError: On an unknown method id, K outside 0 <= K < M, or
-            ``emulate_evd_per_iter`` with a spectral method.
+        ValueError: On an unknown method id or K outside 0 <= K < M.
         numpy.linalg.LinAlgError: From a greedy method, if a selected
             angle's steering vector lies within rounding of the selected
             span (see :func:`doalab.greedy.greedy_update`).
@@ -145,8 +139,6 @@ def estimate_method(
         raise ValueError(f"unknown method id: {method!r}")
     M = R.shape[0]
     row = _OLS_IMUSIC_NOISE if method == "ols-imusic" and K > M - K else METHODS[method]
-    if emulate_evd_per_iter and not row.greedy:
-        raise ValueError(f"emulate_evd_per_iter needs a greedy method, got {method!r}")
     if K == 0:
         return np.empty(0, dtype=float)
     X = row.operand(partition(R, K))  # the one and only EVD
@@ -154,9 +146,6 @@ def estimate_method(
         values = objective_values(X, grid, row.form, evaluator)
         return grid.angles[select_peak_indices(values, K)]
     state = initial_state(X, grid, evaluator)
-    for it in range(K):
-        if emulate_evd_per_iter and it > 0:
-            residual_cov = state.Pc @ R @ state.Pc
-            hermitian_evd(0.5 * (residual_cov + residual_cov.conj().T))
+    for _ in range(K):
         greedy_step(state, row.form)
     return np.array(state.selected)

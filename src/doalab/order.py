@@ -3,15 +3,13 @@
 Two routes: the classic eigenvalue-ratio AIC over the covariance spectrum,
 and a hybrid scheme that trusts the eigenvalue estimate as a floor, then
 keeps extending a greedy OLS estimate while a penalized residual criterion
-keeps improving.  The stopping rule is pluggable so an alternative
-criterion is a one-line swap.
+keeps improving.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -80,7 +78,7 @@ def aic_rank(eigenvalues: np.ndarray, snapshots: int) -> OrderEstimate:
 
 
 def penalized_residual_criterion(k: int, eps_k: float, M: int, snapshots: int) -> float:
-    """Default hybrid stopping criterion.
+    """The hybrid stopping criterion.
 
     A log-residual-energy data term plus a parameter-count penalty:
     ``2 L M ln(eps_k) + 2 k (2M - k + 1)``.  The data term is non-increasing
@@ -101,14 +99,13 @@ def hybrid_order(
     base: OrderEstimate,
     snapshots: int,
     evaluator: str = "fft",
-    criterion: Callable[[int, float, int, int], float] = penalized_residual_criterion,
 ) -> OrderEstimate:
     """Extend an eigenvalue-based order estimate with greedy OLS refits.
 
     Runs the greedy engine in the ratio form on the covariance square root
     (OLS).  The first ``base.k_hat`` angles are added unconditionally (the
     eigenvalue estimate is trusted as a floor); each further angle is kept
-    only while the stopping criterion decreases.  The result therefore never
+    only while :func:`penalized_residual_criterion` decreases.  The result therefore never
     falls below ``base.k_hat``.
 
     Args:
@@ -119,8 +116,6 @@ def hybrid_order(
         base: The eigenvalue-based OrderEstimate to extend.
         snapshots: Snapshot count for the criterion.
         evaluator: "fft" or "direct".
-        criterion: Stopping rule mapping (k, eps_k, M, snapshots) to a
-            score; lower is better.
 
     Returns:
         OrderEstimate with criterion_id "hybrid"; curve entries are NaN at
@@ -136,7 +131,7 @@ def hybrid_order(
     def criterion_at(k):
         res = state.res
         eps = max(float(np.sum(res.real**2 + res.imag**2)) / trace_R, _EPS_FLOOR)
-        return criterion(k, eps, M, snapshots)
+        return penalized_residual_criterion(k, eps, M, snapshots)
 
     curve = np.full(M, np.nan)
     for _ in range(base.k_hat):

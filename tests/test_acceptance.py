@@ -26,7 +26,7 @@ import numpy as np
 import pytest
 
 from doalab.bench import run_trial
-from doalab.fastgrid import MASK_RTOL, make_grid, objective_values
+from doalab.fastgrid import MASK_RTOL, make_grid
 from doalab.greedy import greedy_objective, greedy_update, initial_state
 from doalab.linalg import covariance_sqrt, evd_call_count, hermitian_evd
 from doalab.methods import METHOD_IDS, estimate_method
@@ -40,7 +40,13 @@ from doalab.scenario import (
     trial_rng,
 )
 from doalab.subspace import partition, sample_covariance
-from reference_linalg import projectors, residual
+from reference_linalg import (
+    complement_projector,
+    estimate_with_evd_per_iter,
+    projectors,
+    reference_objective_values,
+    residual,
+)
 
 # Methods compared in the 500-trial detection/precision sweep.  The classic
 # MUSIC baseline is the noise-form variant; the signal form shares its peak
@@ -154,12 +160,12 @@ def _naive_ols_scores(state, sqrt_R, grid) -> np.ndarray:
     initial covariance square root.  Degenerate candidates (projected
     steering norm below the same threshold the fast path uses) are masked.
     """
-    M = state.Pc.shape[0]
+    M = complement_projector(state).shape[0]
     if state.selected:
         A_sel = steering_matrix(np.array(state.selected), M, grid.phase_factor)
     else:
         A_sel = np.empty((M, 0), dtype=complex)
-    pc_norms = np.sum(np.abs(state.Pc @ grid.steering) ** 2, axis=0)
+    pc_norms = np.sum(np.abs(complement_projector(state) @ grid.steering) ** 2, axis=0)
     scores = np.full(grid.N, -np.inf)
     for p in range(grid.N):
         if pc_norms[p] < MASK_RTOL * M:
@@ -223,7 +229,7 @@ def test_criterion_03_residual_correlation_equals_weighted_subspace_sum():
         state = initial_state(sqrt_R, grid, "direct")
         for _ in range(K):
             omp_vals = greedy_objective(state, "norm")
-            proj = (state.Pc @ evd.eigenvectors).conj().T @ grid.steering
+            proj = (complement_projector(state) @ evd.eigenvectors).conj().T @ grid.steering
             subspace_sum = evd.eigenvalues @ (proj.real**2 + proj.imag**2)
             scale = float(omp_vals.max())
             np.testing.assert_allclose(
@@ -294,18 +300,18 @@ def test_criterion_05_fft_evaluator_matches_direct_and_is_faster():
         "music-noise": (dec.G, None),
         "wmusic-signal": (dec.weighted_signal(), None),
         "wmusic-noise": (dec.weighted_noise(), None),
-        "omp": (residual(gstate, sqrt_R), gstate.Pc),
-        "ols": (residual(gstate, sqrt_R), gstate.Pc),
-        "omp-imusic": (residual(istate, dec.S), istate.Pc),
-        "ols-imusic-signal": (residual(istate, dec.S), istate.Pc),
-        "ols-imusic-noise": (residual(istate, dec.G), istate.Pc),
-        "omp-iwmusic": (weighted_res, istate.Pc),
-        "ols-iwmusic": (weighted_res, istate.Pc),
+        "omp": (residual(gstate, sqrt_R), complement_projector(gstate)),
+        "ols": (residual(gstate, sqrt_R), complement_projector(gstate)),
+        "omp-imusic": (residual(istate, dec.S), complement_projector(istate)),
+        "ols-imusic-signal": (residual(istate, dec.S), complement_projector(istate)),
+        "ols-imusic-noise": (residual(istate, dec.G), complement_projector(istate)),
+        "omp-iwmusic": (weighted_res, complement_projector(istate)),
+        "ols-iwmusic": (weighted_res, complement_projector(istate)),
     }
     worst = 0.0
     for variant, (num, pc) in cases.items():
-        vf = objective_values(num, grid, CASE_FORMS[variant], "fft", pc=pc)
-        vd = objective_values(num, grid, CASE_FORMS[variant], "direct", pc=pc)
+        vf = reference_objective_values(num, grid, CASE_FORMS[variant], "fft", pc=pc)
+        vd = reference_objective_values(num, grid, CASE_FORMS[variant], "direct", pc=pc)
         finite = np.isfinite(vd)
         np.testing.assert_array_equal(np.isfinite(vf), finite)
         scale = float(np.max(np.abs(vd[finite])))
@@ -318,7 +324,7 @@ def test_criterion_05_fft_evaluator_matches_direct_and_is_faster():
 
     def sweep_all(evaluator):
         for variant, (num, pc) in cases.items():
-            objective_values(num, grid, CASE_FORMS[variant], evaluator, pc=pc)
+            reference_objective_values(num, grid, CASE_FORMS[variant], evaluator, pc=pc)
 
     meds = _interleaved_medians(
         {"fft": lambda: sweep_all("fft"), "direct": lambda: sweep_all("direct")},
@@ -372,7 +378,7 @@ def test_criterion_07_single_eigendecomposition_per_estimate():
             single = estimate_method(method, R, K, grid)
             assert evd_call_count() - before == 1
             before = evd_call_count()
-            emulated = estimate_method(method, R, K, grid, emulate_evd_per_iter=True)
+            emulated = estimate_with_evd_per_iter(method, R, K, grid)
             assert evd_call_count() - before == K
             np.testing.assert_array_equal(single, emulated)
 
@@ -381,14 +387,14 @@ def test_criterion_07_single_eigendecomposition_per_estimate():
     truth = draw_targets(cfg, rng)
     R = sample_covariance(synthesize_observation(truth, cfg, rng).Y)
     estimate_method("ols-imusic", R, 12, grid)
-    estimate_method("ols-imusic", R, 12, grid, emulate_evd_per_iter=True)
+    estimate_with_evd_per_iter("ols-imusic", R, 12, grid)
     t_single, t_emulated = [], []
     for _ in range(40):
         t0 = perf_counter()
         estimate_method("ols-imusic", R, 12, grid)
         t_single.append(perf_counter() - t0)
         t0 = perf_counter()
-        estimate_method("ols-imusic", R, 12, grid, emulate_evd_per_iter=True)
+        estimate_with_evd_per_iter("ols-imusic", R, 12, grid)
         t_emulated.append(perf_counter() - t0)
     mean_single, mean_emulated = float(np.mean(t_single)), float(np.mean(t_emulated))
     assert mean_emulated > mean_single

@@ -3,7 +3,6 @@
 import math
 import multiprocessing
 import os
-import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 from pathlib import Path
@@ -242,15 +241,14 @@ def contract_scenes(draw):
 @given(scene=contract_scenes())
 def test_estimates_meet_the_contract(method, evaluator, scene):
     # K distinct angles of the grid, or the near-duplicate selection error
-    # estimate_method documents; never a silent guess or a numpy warning.
+    # estimate_method documents; never a silent guess or a numpy warning
+    # (the suite's filterwarnings makes a RuntimeWarning an error).
     case, R, K, grid = scene
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", RuntimeWarning)
-        try:
-            est = estimate_method(method, R, K, grid, evaluator)
-        except np.linalg.LinAlgError as exc:
-            assert "rank-deficient selection" in str(exc), case
-            return
+    try:
+        est = estimate_method(method, R, K, grid, evaluator)
+    except np.linalg.LinAlgError as exc:
+        assert "rank-deficient selection" in str(exc), case
+        return
     assert est.shape == (K,) and len(set(est.tolist())) == K, case
     assert np.isin(est, grid.angles).all(), case
 
@@ -265,15 +263,13 @@ def test_hermitian_guard_holds_at_extreme_scales(campaign_scene):
         with pytest.raises(ValueError, match="Hermitian"):
             hermitian_evd(c * A)
     R, grid = campaign_scene
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", RuntimeWarning)
-        for method in METHOD_IDS:
-            for evaluator in ("fft", "direct"):
-                np.testing.assert_array_equal(
-                    estimate_method(method, 1e300 * R, 8, grid, evaluator),
-                    estimate_method(method, R, 8, grid, evaluator),
-                    err_msg=f"{method}/{evaluator}",
-                )
+    for method in METHOD_IDS:
+        for evaluator in ("fft", "direct"):
+            np.testing.assert_array_equal(
+                estimate_method(method, 1e300 * R, 8, grid, evaluator),
+                estimate_method(method, R, 8, grid, evaluator),
+                err_msg=f"{method}/{evaluator}",
+            )
 
 
 def test_run_trial_survives_near_collinear_hybrid_selection():
@@ -487,6 +483,44 @@ def test_run_trial_captures_estimator_errors(monkeypatch):
 def test_sweep_spec_validation(overrides, message):
     with pytest.raises(ValueError, match=message):
         sweep_spec(**overrides).validate()
+
+
+@pytest.mark.parametrize(
+    "args,message",
+    [
+        ((METHOD_IDS, ("true-k",)), "one token or one per method"),
+        ((("omp", "nope"), None), "unknown method id"),
+        ((("omp", "omp"), None), "unique"),
+        ((("omp",), ("oracle",)), "order criterion"),
+        ((("omp",), None, "fftw"), "unknown evaluator"),
+    ],
+)
+def test_run_trial_rejects_what_no_trial_can_run(args, message):
+    # Before, zip() silently dropped the methods past a short criteria
+    # tuple, an unknown method or evaluator became a per-method failure and
+    # an unknown criterion a KeyError.
+    with pytest.raises(ValueError, match=message):
+        run_trial(small_cfg(), 0, *args)
+
+
+def test_sweep_spec_rejects_a_value_its_field_type_changes(no_trials):
+    # int(2.5) would run K = 2 and write sweep_value 2.5.
+    spec = sweep_spec(parameter="targets", values=(1, 2.5))
+    with pytest.raises(ValueError, match="targets value 2.5 is not a valid int"):
+        run_sweep(spec, serial=True)
+    sweep_spec(parameter="targets", values=(1, 2.0)).validate()
+
+
+def test_estimated_order_zero_scores_no_detection():
+    # At -30 dB rank-aic finds no target on this trial: every method returns
+    # no angle, which scores hit, false-alarm and J as 0 and leaves the
+    # common-hit RMSE undefined, without an error.
+    cfg = small_cfg(targets=1, subcarriers=8, symbols=1, snr_db=-30.0, grid_points=64, seed=3)
+    tr = run_trial(cfg, 0, METHOD_IDS, ("rank-aic",) * len(METHOD_IDS))
+    for method, out in tr.outcomes.items():
+        assert out.k_hat == 0 and out.estimates.size == 0, method
+        assert (out.hit_rate, out.fa_rate, out.youden_j) == (0.0, 0.0, 0.0), method
+        assert out.rmse is None and out.error is None, method
 
 
 def test_worker_count_sources(monkeypatch):

@@ -9,6 +9,7 @@ from conftest import random_complex
 from doalab import fastgrid, linalg
 from doalab.fastgrid import (
     SAT_VALUE,
+    apply_form,
     colnorms_sq,
     grid_correlations,
     make_grid,
@@ -309,6 +310,14 @@ def test_reciprocal_form_saturation_is_scale_invariant(scale):
     np.testing.assert_allclose(fast[ok], slow[ok], rtol=1e-8)
 
 
+def ratio_form(num, Pc, grid, form):
+    """``form`` of ``||num^H a||^2`` over ``||Pc a||^2``, as the greedy
+    engine applies it, masking below MASK_RTOL * M."""
+    denom = colnorms_sq(Pc, grid, "direct")
+    masked = denom < fastgrid.MASK_RTOL * grid.M
+    return apply_form(colnorms_sq(num, grid, "direct"), form, denom, masked)
+
+
 def test_ratio_form_masks_selected_angles():
     M, N = 8, 64
     grid = make_grid(N, M)
@@ -317,7 +326,7 @@ def test_ratio_form_masks_selected_angles():
     _, Pc = projectors(a_sel)
     rng = np.random.default_rng(4)
     num = Pc @ random_complex(rng, M, 3)
-    vals = objective_values(num, grid, "ratio", pc=Pc)
+    vals = ratio_form(num, Pc, grid, "ratio")
     assert vals[p_sel] == -np.inf
     unmasked = vals[np.isfinite(vals)]
     assert unmasked.size > 0 and np.all(unmasked >= 0)
@@ -336,27 +345,21 @@ def test_complement_ratio_form():
     a_sel = steering_vector(grid.angles[p_sel], M).reshape(M, 1)
     _, Pc = projectors(a_sel)
     num = Pc @ random_complex(rng, M, 2)
-    plain = objective_values(num, grid, "ratio", pc=Pc)
-    comp = objective_values(num, grid, "complement-ratio", pc=Pc)
+    plain = ratio_form(num, Pc, grid, "ratio")
+    comp = ratio_form(num, Pc, grid, "complement-ratio")
     mask = np.isfinite(plain)
-    # complement-ratio = 1 - num_norms/denom for SOME numerator; here just
-    # verify the algebraic relation between the two forms' shared pieces.
-    denom = colnorms_sq(Pc, grid, "fft")
-    norms = colnorms_sq(num, grid, "fft")
-    np.testing.assert_allclose(comp[mask], 1.0 - norms[mask] / denom[mask], rtol=1e-9)
+    np.testing.assert_array_equal(np.isfinite(comp), mask)
+    np.testing.assert_allclose(comp[mask], 1.0 - plain[mask], rtol=1e-9)
     assert comp[p_sel] == -np.inf
-
-
-def test_ratio_form_requires_projector():
-    grid = make_grid(32, 4)
-    A = random_complex(np.random.default_rng(0), 4, 2)
-    with pytest.raises(ValueError, match="projector"):
-        objective_values(A, grid, "ratio")
 
 
 def test_unknown_form_rejected():
     grid = make_grid(32, 4)
     A = random_complex(np.random.default_rng(0), 4, 2)
-    with pytest.raises(ValueError, match="unknown objective form"):
-        objective_values(A, grid, "ols")
-
+    # The ratio forms score the greedy engine's state (apply_form); the
+    # spectral objective_values takes only "norm" and "reciprocal".
+    for form in ("ols", "ratio"):
+        with pytest.raises(ValueError, match="unknown objective form"):
+            objective_values(A, grid, form)
+    with pytest.raises(ValueError, match="not a norm or ratio form"):
+        apply_form(np.ones(grid.N), "reciprocal", np.ones(grid.N), np.zeros(grid.N, bool))

@@ -76,15 +76,12 @@ def test_evd_accepts_noncontiguous_views():
     np.testing.assert_allclose(evd.eigenvalues.sum(), np.trace(view).real, rtol=1e-10)
 
 
-def test_evd_counter_counts_and_resets():
-    linalg.reset_evd_calls()
-    assert linalg.evd_call_count() == 0
+def test_evd_counter_counts_calls():
+    before = linalg.evd_call_count()
     R = np.eye(3, dtype=complex)
     linalg.hermitian_evd(R)
     linalg.hermitian_evd(R)
-    assert linalg.evd_call_count() == 2
-    linalg.reset_evd_calls()
-    assert linalg.evd_call_count() == 0
+    assert linalg.evd_call_count() - before == 2
 
 
 @pytest.mark.parametrize("seed", SEEDS)

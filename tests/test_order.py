@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from doalab import order
 from doalab.fastgrid import make_grid
 from doalab.linalg import covariance_sqrt, hermitian_evd
 from doalab.order import (
@@ -200,7 +201,7 @@ def test_hybrid_base_at_max_k_returns_base_order():
     assert est.k_hat == 4
 
 
-def test_hybrid_residual_fraction_is_non_increasing():
+def test_hybrid_residual_fraction_is_non_increasing(monkeypatch):
     # The criterion's data term is driven by the residual energy fraction,
     # which can only shrink as the projection span grows.
     cfg, grid, R, sqrt_R, evd = hybrid_inputs(K=3, M=10, snr_db=15.0, on_grid=False)
@@ -210,37 +211,27 @@ def test_hybrid_residual_fraction_is_non_increasing():
         fractions.append(eps_k)
         return penalized_residual_criterion(k, eps_k, M, snapshots)
 
+    monkeypatch.setattr(order, "penalized_residual_criterion", spy)
     base = OrderEstimate(
         k_hat=0, criterion_curve=np.full(10, np.nan), criterion_id="rank-aic"
     )
-    hybrid_order(
-        sqrt_R,
-        grid,
-        max_k=9,
-        base=base,
-        snapshots=cfg.snapshots,
-        criterion=spy,
-    )
+    hybrid_order(sqrt_R, grid, max_k=9, base=base, snapshots=cfg.snapshots)
     assert len(fractions) >= 2
     assert np.all(np.diff(fractions) <= 1e-12)
     assert np.all((np.array(fractions) >= 1e-12) & (np.array(fractions) <= 1.0 + 1e-12))
 
 
-def test_hybrid_custom_criterion_is_pluggable():
+def test_hybrid_custom_criterion_is_pluggable(monkeypatch):
     cfg, grid, R, sqrt_R, evd = hybrid_inputs(K=2, snr_db=20.0, on_grid=False)
     base = OrderEstimate(
         k_hat=1, criterion_curve=np.full(8, np.nan), criterion_id="rank-aic"
     )
     # A criterion that always improves forces the search to max_k; one that
     # never improves pins the result at the base.
-    always = hybrid_order(
-        sqrt_R, grid, max_k=5, base=base, snapshots=cfg.snapshots,
-        criterion=lambda k, e, M, L: -float(k),
-    )
-    never = hybrid_order(
-        sqrt_R, grid, max_k=5, base=base, snapshots=cfg.snapshots,
-        criterion=lambda k, e, M, L: float(k),
-    )
+    monkeypatch.setattr(order, "penalized_residual_criterion", lambda k, e, M, L: -float(k))
+    always = hybrid_order(sqrt_R, grid, max_k=5, base=base, snapshots=cfg.snapshots)
+    monkeypatch.setattr(order, "penalized_residual_criterion", lambda k, e, M, L: float(k))
+    never = hybrid_order(sqrt_R, grid, max_k=5, base=base, snapshots=cfg.snapshots)
     assert always.k_hat == 5
     assert never.k_hat == 1
 

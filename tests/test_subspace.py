@@ -10,6 +10,7 @@ from hypothesis.extra import numpy as hnp
 
 from conftest import random_complex, random_covariance
 from doalab.fastgrid import SAT_VALUE, make_grid
+from doalab.linalg import evd_call_count
 from doalab.methods import METHOD_IDS, estimate_method, pseudospectrum
 from doalab.scenario import (
     GroundTruth,
@@ -99,6 +100,17 @@ def test_estimate_method_rejects_indefinite_covariance(method):
     R = 0.5 * (R + R.conj().T)
     with pytest.raises(ValueError, match="positive semidefinite"):
         estimate_method(method, R, 2, make_grid(64, 6))
+
+
+@pytest.mark.parametrize("evaluator", ["fft", "direct"])
+@pytest.mark.parametrize("method", METHOD_IDS)
+def test_estimate_method_with_zero_order_returns_no_angle(method, evaluator):
+    # The documented K = 0 path: no model order, no estimate, no EVD.
+    R = random_covariance(np.random.default_rng(6), 6)
+    before = evd_call_count()
+    est = estimate_method(method, R, 0, make_grid(64, 6), evaluator)
+    assert est.shape == (0,) and est.dtype == np.float64
+    assert evd_call_count() == before
 
 
 def test_weighted_operands_scale_columns():
