@@ -10,7 +10,12 @@ timed; synthesis, order selection, and scoring stay outside the clock.
 
 Per-trial randomness comes from independent streams derived from the base
 seed and the trial index, so metric columns are bit-reproducible for a given
-spec and adding trials never perturbs earlier ones.
+spec and adding trials never perturbs earlier ones, whichever process runs
+a trial.  A pooled sweep starts its child processes with the platform's
+default method (fork on Linux before Python 3.14, spawn on macOS and
+Windows); a forked child inherits the caller's modules, grid cache and BLAS
+thread count, so pin BLAS before numpy loads, as ``doalab sweep`` does, for
+every process to be single-threaded.
 """
 
 from __future__ import annotations
@@ -21,7 +26,6 @@ import os
 import sys
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass, fields, replace
-from multiprocessing import get_context
 from time import perf_counter
 from typing import get_type_hints
 
@@ -56,9 +60,10 @@ EVALUATORS = ("fft", "direct")
 FAILURE_WARN_FRACTION = 0.05
 # Fraction of timings dropped from each end before averaging mean_time_ms.
 TRIM_FRACTION = 0.05
-# Trials per chunk handed to a spawned child, and chunks a child may hold at
-# once: enough to keep it busy between the caller's own trials, few enough
-# that the caller's shared cursor takes the rest.
+# Trials per chunk handed to a child process (started with the platform's
+# default method), and chunks a child may hold at once: enough to keep it
+# busy between the caller's own trials, few enough that the caller's shared
+# cursor takes the rest.
 CHUNK_TRIALS = 2
 CHUNKS_PER_CHILD = 2
 
@@ -306,23 +311,27 @@ def _run_tasks(tasks: list, processes: int) -> list:
     """``run_trial`` over every task on ``processes`` processes, in task order.
 
     The calling process runs trials one at a time from a shared cursor while
-    ``processes - 1`` spawned children are fed CHUNK_TRIALS-trial chunks from
-    the same cursor, at most CHUNKS_PER_CHILD outstanding per child, so
-    nobody idles while trials remain and no child is spawned for a single
-    process.  The children are spawned with BLAS pinned to one thread
-    (:func:`doalab.pin_blas_threads`, which leaves variables the caller set
-    alone and stays set in the caller's environment); the calling process
-    keeps the thread count its BLAS loaded with.  Results are stored by
-    task index.  On any exception the chunks
-    not yet started are cancelled and the exception is re-raised without
-    waiting for the children's current chunks; either way the children exit
-    in the background, reaped by the pool's own thread.
+    ``processes - 1`` children are fed CHUNK_TRIALS-trial chunks from the
+    same cursor, at most CHUNKS_PER_CHILD outstanding per child, so nobody
+    idles while trials remain and no child starts for a single process.
+    The children start with the platform's default method.  A forked child
+    (Linux before Python 3.14) runs its first chunk at once, with the
+    caller's modules, grid cache and BLAS thread count; a spawned one
+    imports doalab first, and its BLAS loads with the thread variables
+    :func:`doalab.pin_blas_threads` pins here (it leaves variables the
+    caller set alone, and they stay set in the caller's environment).
+    Results are stored by task index.  On a normal return the pool is shut
+    down and waited for, so no child or pool thread outlives the call and a
+    later sweep never forks beside a live pool thread.  On any exception the
+    chunks not yet started are cancelled and the exception is re-raised
+    without waiting for the children's current chunks, which finish in the
+    background, reaped by the pool's own thread.
     """
     results, pending, cursor = [None] * len(tasks), {}, 0
     children = min(processes, len(tasks)) - 1
     if children:
         pin_blas_threads()
-    pool = ProcessPoolExecutor(children, mp_context=get_context("spawn")) if children else None
+    pool = ProcessPoolExecutor(children) if children else None
     try:
         while cursor < len(tasks) or pending:
             while cursor < len(tasks) and len(pending) < CHUNKS_PER_CHILD * children:
@@ -337,9 +346,12 @@ def _run_tasks(tasks: list, processes: int) -> list:
                 cursor += 1
             elif pending:
                 wait(pending, return_when=FIRST_COMPLETED)
-    finally:
-        if pool:  # cancels what is left after an error; never waits on a child
+    except BaseException:
+        if pool:  # cancels what is left; never waits on a child
             pool.shutdown(wait=False, cancel_futures=True)
+        raise
+    if pool:
+        pool.shutdown()
     return results
 
 
@@ -360,6 +372,8 @@ def _worker_count(workers: int | None) -> int:
             return max(1, int(env))
         except ValueError:
             raise ValueError(f"DOALAB_THREADS must be an integer, got {env!r}")
+    if hasattr(os, "sched_getaffinity"):  # the CPUs this process may run on
+        return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
 
 
@@ -371,15 +385,19 @@ def run_sweep(
     """Run a full sweep and aggregate per-(value, method) rows.
 
     Trials run on ``workers`` processes, the calling process included: it
-    runs trials itself beside ``workers - 1`` spawned children.  The count
-    comes from ``workers``, the DOALAB_THREADS environment variable, or the
-    CPU count; ``serial=True`` (like a count of 1) keeps every trial
-    in-process and spawns nothing, for clean timing.  Spawned children run
-    with BLAS pinned to one thread unless the caller set the thread
-    variables itself; the calling process cannot be re-pinned once numpy is
-    loaded, so pin it before importing numpy (``doalab sweep`` does) for
-    its own trials to be single-threaded too.  Metric columns depend only
-    on the spec and seed; timing columns depend on the machine.
+    runs trials itself beside ``workers - 1`` child processes, started with
+    the platform's default method (fork on Linux before Python 3.14, spawn
+    on macOS and Windows).  The count comes from ``workers``, the
+    DOALAB_THREADS environment variable, or the number of CPUs this process
+    may run on; ``serial=True`` (like a count of 1) keeps every trial
+    in-process and starts no child, for clean timing.  A forked child
+    inherits the caller's modules, grid cache and BLAS thread count; a
+    spawned child runs with BLAS pinned to one thread unless the caller set
+    the thread variables itself.  A loaded BLAS cannot be re-pinned, so
+    pin the caller before importing numpy (``doalab sweep`` does) for
+    every process to be single-threaded.  No child outlives a normal
+    return.  Metric columns depend only on the spec and seed; timing
+    columns depend on the machine.
 
     Per-method trial failures are excluded from that method's aggregates; a
     sweep point where more than 5% of a method's trials failed is reported

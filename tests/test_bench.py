@@ -3,6 +3,7 @@
 import math
 import multiprocessing
 import os
+import threading
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 from pathlib import Path
@@ -378,9 +379,35 @@ def test_run_sweep_trial_error_propagates_promptly():
         run_sweep(replace(spec, trials=2), workers=2)
 
 
+def test_run_sweep_leaves_no_child_or_pool_thread_behind():
+    # A normal return waits for the pool: no child or pool thread is left to
+    # sit beside the next sweep's fork.  (A child an earlier test's failed
+    # sweep left to finish in the background may still be running.)
+    children = set(multiprocessing.active_children())
+    threads = set(threading.enumerate())
+    run_sweep(sweep_spec(values=(20.0,), trials=6), workers=2)
+    assert not set(multiprocessing.active_children()) - children
+    assert not set(threading.enumerate()) - threads
+
+
+def test_run_sweep_uses_the_platforms_default_start_method(monkeypatch):
+    contexts = []
+
+    class Pool(ProcessPoolExecutor):
+        def __init__(self, max_workers=None, mp_context=None, **kwargs):
+            contexts.append(mp_context)
+            super().__init__(max_workers, mp_context, **kwargs)
+
+    monkeypatch.setattr(bench, "ProcessPoolExecutor", Pool)
+    run_sweep(sweep_spec(values=(20.0,), trials=2), workers=2)
+    assert contexts == [None]
+
+
 def test_run_sweep_pins_blas_threads_in_spawned_children(monkeypatch):
-    # Called from the library, not the CLI: the spawn path pins the BLAS
-    # thread variables before any child starts, so every child sees "1".
+    # Called from the library, not the CLI: run_sweep pins the BLAS thread
+    # variables before any child starts, so every child sees "1".  A spawned
+    # child's BLAS loads with them; a forked child sees them too, but its
+    # BLAS keeps the thread count the caller's loaded with.
     for var in BLAS_THREAD_VARS:
         monkeypatch.delenv(var, raising=False)
     seen = {}
@@ -398,6 +425,8 @@ def test_run_sweep_pins_blas_threads_in_spawned_children(monkeypatch):
 def test_run_trial_replays_in_a_spawned_child():
     # A trial's covariance draw and every outcome depend on (seed, trial)
     # only: the same trial run in a fresh spawned interpreter is identical.
+    # Where run_sweep forks its children (Linux), this is the only check of
+    # a trial replayed in a fresh interpreter.
     cfg = small_cfg(targets=3, snr_db=10.0)
     args = (cfg, 5, METHOD_IDS, None, "fft")
     with ProcessPoolExecutor(1, mp_context=multiprocessing.get_context("spawn")) as pool:
@@ -533,6 +562,21 @@ def test_worker_count_sources(monkeypatch):
         bench._worker_count(None)
     monkeypatch.delenv("DOALAB_THREADS")
     assert bench._worker_count(None) >= 1
+
+
+def test_worker_count_defaults_to_the_cpus_this_process_may_run_on(monkeypatch):
+    # taskset -c 0, or a cpuset-limited container: one usable CPU of eight.
+    monkeypatch.delenv("DOALAB_THREADS", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert bench._worker_count(None) == 1
+    assert bench._worker_count(3) == 3
+    monkeypatch.setenv("DOALAB_THREADS", "2")
+    assert bench._worker_count(None) == 2
+    # Where the platform has no affinity call, the CPU count.
+    monkeypatch.delenv("DOALAB_THREADS")
+    monkeypatch.delattr(os, "sched_getaffinity")
+    assert bench._worker_count(None) == 8
 
 
 # ---------------------------------------------------------------- CSV
