@@ -7,8 +7,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import linear_sum_assignment
 
 from doalab.metrics import (
+    _linear_sum_assignment,
     associate,
     detection_metrics,
     diagnostics,
@@ -107,6 +109,122 @@ def test_associate_beats_identity_and_random_permutations():
     for _ in range(100):
         perm = rng.permutation(6)
         assert total <= np.sum(np.abs(true_u - est_u[perm])) + 1e-12
+
+
+# ------------------------------------------------- scipy parity of the solver
+
+
+def scipy_pairs(cost):
+    rows, cols = linear_sum_assignment(cost)
+    return rows.tolist(), cols.tolist()
+
+
+def random_shape(rng):
+    return tuple(int(x) for x in rng.integers(1, 17, 2))
+
+
+def grid_quantized_costs(rng, n, m):
+    # Estimates snapped to a coarse grid, as a grid search reports them:
+    # several estimates share a value, so many pairings tie.
+    step = 2.0 / int(rng.choice([8, 16, 64]))
+    true_u = rng.uniform(-1, 1, n)
+    est_u = np.round(rng.uniform(-1, 1, m) / step) * step
+    if rng.random() < 0.5:
+        true_u = np.round(true_u / step) * step
+    return np.abs(true_u[:, None] - est_u[None, :])
+
+
+def rounded_costs(rng, n, m):
+    true_u = np.round(rng.uniform(-1, 1, n), 1)
+    est_u = np.round(rng.uniform(-1, 1, m), 1)
+    return np.abs(true_u[:, None] - est_u[None, :])
+
+
+def small_integer_costs(rng, n, m):
+    return rng.integers(0, 3, (n, m)).astype(float)
+
+
+@pytest.mark.parametrize(
+    "make_costs", [grid_quantized_costs, rounded_costs, small_integer_costs]
+)
+@pytest.mark.parametrize("seed", range(2))
+def test_solver_matches_scipy_on_tied_costs(make_costs, seed):
+    # Square, wide and tall shapes up to 16 x 16, K = 1 included.
+    rng = np.random.default_rng(seed)
+    for _ in range(500):
+        cost = make_costs(rng, *random_shape(rng))
+        assert _linear_sum_assignment(cost) == scipy_pairs(cost), cost.tolist()
+
+
+@pytest.mark.parametrize(
+    "shape", [(1, 1), (1, 16), (16, 1), (16, 16), (15, 16), (16, 15)]
+)
+def test_solver_matches_scipy_at_the_shape_limits(shape):
+    rng = np.random.default_rng(sum(shape))
+    for make_costs in (grid_quantized_costs, rounded_costs, small_integer_costs):
+        for _ in range(20):
+            cost = make_costs(rng, *shape)
+            assert _linear_sum_assignment(cost) == scipy_pairs(cost), cost.tolist()
+
+
+@pytest.mark.parametrize("shape", [(0, 0), (0, 5), (5, 0)])
+def test_solver_pairs_nothing_when_a_side_is_empty(shape):
+    cost = np.zeros(shape)
+    assert _linear_sum_assignment(cost) == scipy_pairs(cost) == ([], [])
+
+
+@pytest.mark.parametrize(
+    "cost, expected",
+    [
+        # Constant costs pair the identity (the reversed column scan).
+        (np.ones((3, 3)), ([0, 1, 2], [0, 1, 2])),
+        (np.ones((2, 4)), ([0, 1], [0, 1])),
+        (np.ones((4, 2)), ([0, 1], [0, 1])),
+        ([[1, 0], [0, 0], [0, 1]], ([0, 1], [1, 0])),
+        ([[2, 1, 1, 2], [1, 2, 2, 1]], ([0, 1], [1, 0])),
+    ],
+)
+def test_solver_pins_tied_pairings(cost, expected):
+    # Literals, so that a change in scipy's tie rule shows up as a diff here.
+    cost = np.asarray(cost, dtype=float)
+    assert _linear_sum_assignment(cost) == expected
+    assert scipy_pairs(cost) == expected
+
+
+@pytest.mark.parametrize(
+    "truth, pairs",
+    [
+        ((0.1, 0.2), ((0, 0, 0.19999999999999998), (1, 1, 0.2))),
+        ((0.2, 0.1), ((0, 0, 0.09999999999999998), (1, 1, 0.30000000000000004))),
+    ],
+)
+def test_associate_pins_the_order_dependent_tie(truth, pairs):
+    # Both pairings of estimates (0.3, 0.4) cost 0.4; which one comes out
+    # depends on the order of the truths (ROADMAP item 6).
+    assert associate(truth, (0.3, 0.4)).pairs == pairs
+
+
+@pytest.mark.parametrize("bad", [math.nan, -math.inf])
+def test_solver_rejects_invalid_costs_as_scipy_does(bad):
+    cost = np.array([[0.5, bad], [1.0, 2.0]])
+    with pytest.raises(ValueError, match="invalid numeric entries"):
+        _linear_sum_assignment(cost)
+    with pytest.raises(ValueError, match="invalid numeric entries"):
+        linear_sum_assignment(cost)
+
+
+def test_solver_rejects_infeasible_costs_as_scipy_does():
+    cost = np.array([[math.inf, math.inf], [1.0, 2.0]])
+    with pytest.raises(ValueError, match="infeasible"):
+        _linear_sum_assignment(cost)
+    with pytest.raises(ValueError, match="infeasible"):
+        linear_sum_assignment(cost)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_associate_rejects_non_finite_angles(bad):
+    with pytest.raises(ValueError):
+        associate([0.1, 0.2], [0.3, bad])
 
 
 # ---------------------------------------------------------------- detection

@@ -1,6 +1,10 @@
-"""Package surface: the lazy top-level exports and the demo scripts."""
+"""Package surface: the lazy top-level exports, the import graph and the demo scripts."""
 
+import os
 import runpy
+import subprocess
+import sys
+import textwrap
 from pathlib import Path
 
 import pytest
@@ -21,3 +25,37 @@ def test_every_export_resolves():
 def test_demo_runs(demo, capsys):
     runpy.run_path(str(DEMOS / demo), run_name="__main__")
     assert "ols-imusic" in capsys.readouterr().out
+
+
+def test_scoring_trials_does_not_import_scipy_optimize():
+    # metrics carries its own assignment solver; scipy.optimize would add
+    # about 15 MB and 0.2 s to every process that scores trials.  A fresh
+    # interpreter, because the test suite itself imports scipy.optimize.
+    script = textwrap.dedent(
+        """
+        import sys
+        import doalab.bench as bench
+        from doalab.methods import METHOD_IDS
+        from doalab.scenario import ScenarioConfig
+
+        cfg = ScenarioConfig(targets=3, antennas=8, subcarriers=16, symbols=2,
+                             snr_db=10.0, grid_points=256, seed=5)
+        assert len(bench.run_trial(cfg, 0, METHOD_IDS).outcomes) == len(METHOD_IDS)
+        spec = bench.SweepSpec(parameter="snr_db", values=(0.0, 10.0),
+                               methods=("music-signal", "omp"), base=cfg, trials=3)
+        assert len(bench.run_sweep(spec, workers=2)) == 4
+        print(sorted(m for m in sys.modules if m.startswith("scipy.optimize")))
+        """
+    )
+    src = str(Path(doalab.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, "-c", script],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+        check=True,
+    )
+    assert out.stdout.strip() == "[]", out.stdout
