@@ -45,8 +45,7 @@ def main():
     print("true angles:", ", ".join(f"{u:+.4f}" for u in np.sort(truth.doas)))
 
     R = sample_covariance(obs.Y)
-    evd = hermitian_evd(R)
-    lam = evd.eigenvalues
+    lam, _ = hermitian_evd(R)
     print(f"\neigenvalue ladder (top {cfg.targets + 2}): "
           + ", ".join(f"{x:.3g}" for x in lam[: cfg.targets + 2]))
     print(f"signal-to-tail ratio lambda_{cfg.targets}/lambda_{cfg.targets + 1} "

@@ -40,9 +40,7 @@ def pin_blas_threads() -> None:
 # public name -> defining submodule
 _EXPORTS = {
     # linalg
-    "HermitianEvd": "doalab.linalg",
     "hermitian_evd": "doalab.linalg",
-    "covariance_sqrt": "doalab.linalg",
     "evd_call_count": "doalab.linalg",
     # scenario
     "ScenarioConfig": "doalab.scenario",

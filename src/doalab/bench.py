@@ -32,8 +32,8 @@ from typing import get_type_hints
 import numpy as np
 
 from doalab import pin_blas_threads
-from doalab.fastgrid import make_grid
-from doalab.linalg import covariance_sqrt, hermitian_evd
+from doalab.fastgrid import EVALUATORS, make_grid
+from doalab.linalg import hermitian_evd
 from doalab.methods import METHOD_IDS, estimate_method
 from doalab.metrics import (
     associate,
@@ -50,10 +50,10 @@ from doalab.scenario import (
     draw_targets,
     trial_rng,
 )
+from doalab.subspace import SubspaceDecomposition
 
 SWEEP_PARAMETERS = ("snr_db", "targets", "subcarriers", "antennas")
 ORDER_CRITERIA = ("true-k", "rank-aic", "hybrid")
-EVALUATORS = ("fft", "direct")
 
 # Fraction of per-method trial failures at one sweep point that triggers a
 # sweep warning.
@@ -252,11 +252,11 @@ def run_trial(
     if "true-k" in criteria:
         k_by_criterion["true-k"] = cfg.targets
     if "rank-aic" in criteria or "hybrid" in criteria:
-        evd = hermitian_evd(R)
-        base = aic_rank(evd.eigenvalues, L)
+        dec = SubspaceDecomposition(*hermitian_evd(R), K=0)
+        base = aic_rank(dec.eigenvalues, L)
         k_by_criterion["rank-aic"] = base.k_hat
         if "hybrid" in criteria:
-            hyb = hybrid_order(covariance_sqrt(evd), grid, M - 1, base, L, evaluator)
+            hyb = hybrid_order(dec.sqrt_R, grid, M - 1, base, L, evaluator)
             k_by_criterion["hybrid"] = hyb.k_hat
 
     raw, assocs = {}, {}

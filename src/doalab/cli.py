@@ -20,6 +20,8 @@ from doalab import pin_blas_threads
 pin_blas_threads()
 
 import argparse
+import errno
+import os
 import sys
 from dataclasses import replace
 
@@ -75,6 +77,8 @@ def _cmd_sweep(args) -> None:
         spec = replace(spec, trials=args.trials)
     if args.evaluator is not None:
         spec = replace(spec, evaluator=args.evaluator)
+    if not os.path.isdir(os.path.dirname(args.out) or "."):  # before the first trial
+        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), args.out)
     table = run_sweep(spec, serial=args.serial)
     emit_csv(table, args.out)
     print(

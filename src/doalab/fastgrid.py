@@ -58,6 +58,8 @@ MASK_RTOL = 1e-9
 # objectives peak and saturate.
 REFINE_RTOL = 1e-4
 
+# FFT fast paths, or products with the stored steering (see grid_correlations).
+EVALUATORS = ("fft", "direct")
 # Greedy objective forms that divide by ||Pc a||^2 (see apply_form).
 RATIO_FORMS = ("ratio", "complement-ratio")
 
@@ -209,6 +211,12 @@ def _split_twiddles(N: int, M: int) -> tuple:
     return L, T
 
 
+def check_operand(A: np.ndarray, grid: DoaGrid) -> None:
+    """Reject an operand whose row count is not the grid's element count."""
+    if A.shape[0] != grid.M:
+        raise ValueError(f"operand has {A.shape[0]} rows but the grid has M={grid.M}")
+
+
 def grid_correlations(A: np.ndarray, grid: DoaGrid, evaluator: str = "fft") -> np.ndarray:
     """``A^H a(u)`` over the grid: r x N and C-contiguous, so row j holds the
     grid correlations of A's column j in ascending-angle order.
@@ -219,7 +227,7 @@ def grid_correlations(A: np.ndarray, grid: DoaGrid, evaluator: str = "fft") -> n
     inverse FFTs that land in angle order.  Direct and non-pi grids take the
     product with the steering.
     """
-    if evaluator not in ("fft", "direct"):
+    if evaluator not in EVALUATORS:
         raise ValueError(f"unknown evaluator: {evaluator!r}")
     if evaluator == "direct" or grid.phase_factor != math.pi:
         return A.conj().T @ grid.steering
@@ -281,8 +289,10 @@ def objective_values(
         Length-N value array aligned with ``grid.angles``.
 
     Raises:
-        ValueError: On a form other than "norm" and "reciprocal".
+        ValueError: On a form other than "norm" and "reciprocal", or an
+            operand whose row count is not ``grid.M``.
     """
+    check_operand(num, grid)
     if form == "norm":
         return colnorms_sq(num, grid, evaluator)
     if form != "reciprocal":

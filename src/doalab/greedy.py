@@ -38,7 +38,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg.blas import zgeru
 
-from doalab.fastgrid import MASK_RTOL, DoaGrid, apply_form, grid_correlations, grid_norms_sq
+from doalab.fastgrid import (
+    MASK_RTOL, DoaGrid, apply_form, check_operand, grid_correlations, grid_norms_sq
+)
 from doalab.scenario import steering_vector
 
 
@@ -76,7 +78,9 @@ class GreedyState:
 
 
 def initial_state(X: np.ndarray, grid: DoaGrid, evaluator: str = "fft") -> GreedyState:
-    """State before any selection: the residual is X, transformed once."""
+    """State before any selection: the residual is X, transformed once.
+    Raises ValueError unless X has ``grid.M`` rows."""
+    check_operand(X, grid)
     M, res = X.shape[0], np.array(X, dtype=complex, order="C")
     Z, d = grid_correlations(res, grid, evaluator), np.full(grid.N, float(M))
     masked = np.zeros(grid.N, dtype=bool)

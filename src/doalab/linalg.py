@@ -1,21 +1,17 @@
 """Complex dense linear algebra kernel for the estimators.
 
-Hermitian eigendecomposition and the canonical covariance square root.
-Everything here is a pure function over numpy arrays; matrices are plain
-``complex128`` ndarrays with value semantics.
+The one checked, counted Hermitian eigendecomposition every estimate starts
+from.  Matrices are plain ``complex128`` ndarrays with value semantics.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 # Relative tolerance for accepting an input as Hermitian.
 HERMITIAN_RTOL = 1e-8
 # Negative eigenvalues within this relative band are rounding noise on a PSD
-# input and get clamped to zero; anything more negative is a contract breach
-# for square-root extraction.
+# input and get clamped to zero; anything more negative rejects the input.
 PSD_CLAMP_RTOL = 1e-10
 
 # Instrumentation: number of eigendecompositions performed by this process.
@@ -29,41 +25,31 @@ def evd_call_count() -> int:
     return _evd_calls
 
 
-@dataclass(frozen=True)
-class HermitianEvd:
-    """Eigenpairs of a Hermitian matrix, eigenvalues sorted descending.
-
-    Attributes:
-        eigenvalues: Real eigenvalues in descending order.
-        eigenvectors: Unitary matrix whose columns are the matching
-            orthonormal eigenvectors.
-    """
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
-
-def hermitian_evd(R: np.ndarray) -> HermitianEvd:
-    """Eigendecompose a Hermitian matrix.
+def hermitian_evd(R: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigendecompose a Hermitian positive semidefinite matrix.
 
     An input that is Hermitian within tolerance but not exactly is
     symmetrized before decomposition, so tiny asymmetries from accumulated
     rounding are tolerated; an exactly Hermitian input is decomposed as
     given.  Negative eigenvalues within ``PSD_CLAMP_RTOL`` of the largest
     one are clamped to zero, which makes positive semidefinite inputs come
-    out exactly PSD.  The eigenvalues and eigenvectors are descending views
-    of LAPACK's ascending output.
+    out exactly PSD; any more negative eigenvalue rejects the input, since
+    every estimator takes square roots of the eigenvalues.  The eigenvalues
+    and eigenvectors are descending views of LAPACK's ascending output.
 
     Args:
         R: Square matrix, Hermitian within ``HERMITIAN_RTOL`` (relative
             Frobenius).
 
     Returns:
-        HermitianEvd with descending eigenvalues.
+        ``(eigenvalues, eigenvectors)``: the real eigenvalues, descending,
+        and the unitary matrix whose columns are the matching orthonormal
+        eigenvectors.
 
     Raises:
         ValueError: If the input is not square, contains non-finite entries,
-            or is not Hermitian within tolerance.
+            is not Hermitian within tolerance, or is not positive
+            semidefinite.
     """
     global _evd_calls
     R = np.asarray(R)
@@ -86,30 +72,6 @@ def hermitian_evd(R: np.ndarray) -> HermitianEvd:
     if w.size:
         tol = PSD_CLAMP_RTOL * max(w[0], 0.0)
         w[(w < 0) & (w >= -tol)] = 0.0
-    return HermitianEvd(eigenvalues=w, eigenvectors=V)
-
-
-def covariance_sqrt(evd: HermitianEvd) -> np.ndarray:
-    """Canonical square root V @ diag(sqrt(eigenvalues)) of a PSD matrix.
-
-    Column ``i`` is the i-th eigenvector scaled by the square root of its
-    eigenvalue, so the columns split into signal-then-noise blocks exactly as
-    the eigenvalues do.  Satisfies ``sqrt @ sqrt.conj().T == R`` up to
-    rounding.
-
-    Raises:
-        ValueError: If any eigenvalue is negative (see :func:`require_psd`).
-    """
-    require_psd(evd)
-    return evd.eigenvectors * np.sqrt(evd.eigenvalues)[None, :]
-
-
-def require_psd(evd: HermitianEvd) -> None:
-    """Reject a matrix that is not positive semidefinite.
-
-    Raises:
-        ValueError: If any eigenvalue is negative beyond the clamp already
-            applied by :func:`hermitian_evd`.
-    """
-    if np.any(np.asarray(evd.eigenvalues) < 0):
-        raise ValueError("negative eigenvalue: matrix is not positive semidefinite")
+        if w[-1] < 0:
+            raise ValueError("negative eigenvalue: matrix is not positive semidefinite")
+    return w, V

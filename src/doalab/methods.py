@@ -2,10 +2,11 @@
 
 Each estimator is one row of three choices:
 
-* its operand, from the one eigendecomposition of the sample covariance
-  (:func:`doalab.subspace.partition`): the signal eigenvectors S, the noise
-  eigenvectors G, either scaled by the square roots of its eigenvalues, or
-  the covariance square root;
+* its operand, named by the attribute of the one eigendecomposition of the
+  sample covariance (:func:`doalab.subspace.partition`) that holds it: the
+  signal eigenvectors ``S``, the noise eigenvectors ``G``, either scaled by
+  the square roots of its eigenvalues (``weighted_signal``,
+  ``weighted_noise``), or the covariance square root ``sqrt_R``;
 * its objective form: "norm" or "reciprocal" for a spectral row
   (:func:`doalab.fastgrid.objective_values`), "norm" or a ratio form for a
   greedy one (:func:`doalab.fastgrid.apply_form`);
@@ -27,8 +28,7 @@ its timing window.
 
 from __future__ import annotations
 
-from operator import attrgetter, methodcaller
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -41,41 +41,38 @@ class Method(NamedTuple):
     """One row of the method table.
 
     Attributes:
-        operand: The decomposition's matrix the objective is scored on.
+        operand: The :class:`~doalab.subspace.SubspaceDecomposition`
+            attribute the objective is scored on.
         form: Objective form: "norm", "reciprocal" (spectral only), or one of
             ``fastgrid.RATIO_FORMS`` (greedy only).
         greedy: Select one angle per iteration (True) or the K largest
             peaks of one spectrum (False).
     """
 
-    operand: Callable[[SubspaceDecomposition], np.ndarray]
+    operand: str
     form: str
     greedy: bool
 
 
-_signal, _noise, _sqrt_R = attrgetter("S"), attrgetter("G"), attrgetter("sqrt_R")
-_weighted_signal = methodcaller("weighted_signal")
-_weighted_noise = methodcaller("weighted_noise")
-
 # id -> (operand, objective form, greedy)
 METHODS = {
-    "music-signal": Method(_signal, "norm", False),
-    "music-noise": Method(_noise, "reciprocal", False),
-    "wmusic-signal": Method(_weighted_signal, "norm", False),
-    "wmusic-noise": Method(_weighted_noise, "reciprocal", False),
-    "omp": Method(_sqrt_R, "norm", True),
-    "ols": Method(_sqrt_R, "ratio", True),
-    "omp-imusic": Method(_signal, "norm", True),
-    "ols-imusic": Method(_signal, "ratio", True),
-    "omp-iwmusic": Method(_weighted_signal, "norm", True),
-    "ols-iwmusic": Method(_weighted_signal, "ratio", True),
+    "music-signal": Method("S", "norm", False),
+    "music-noise": Method("G", "reciprocal", False),
+    "wmusic-signal": Method("weighted_signal", "norm", False),
+    "wmusic-noise": Method("weighted_noise", "reciprocal", False),
+    "omp": Method("sqrt_R", "norm", True),
+    "ols": Method("sqrt_R", "ratio", True),
+    "omp-imusic": Method("S", "norm", True),
+    "ols-imusic": Method("S", "ratio", True),
+    "omp-iwmusic": Method("weighted_signal", "norm", True),
+    "ols-iwmusic": Method("weighted_signal", "ratio", True),
 }
 METHOD_IDS = tuple(METHODS)
 
 # ols-imusic when K > M-K: ``1 - ||residual(G)^H a||^2 / ||Pc a||^2`` has the
 # signal form's argmax (the two residual energies partition ||Pc a||^2) and
 # the narrower operand.
-_OLS_IMUSIC_NOISE = Method(_noise, "complement-ratio", True)
+_OLS_IMUSIC_NOISE = Method("G", "complement-ratio", True)
 
 
 def pseudospectrum(
@@ -99,7 +96,7 @@ def pseudospectrum(
     row = METHODS.get(variant)
     if row is None or row.greedy:
         raise ValueError(f"unknown pseudospectrum variant: {variant!r}")
-    values = objective_values(row.operand(dec), grid, row.form, evaluator)
+    values = objective_values(getattr(dec, row.operand), grid, row.form, evaluator)
     return Pseudospectrum(values=values, grid=grid)
 
 
@@ -141,7 +138,7 @@ def estimate_method(
     row = _OLS_IMUSIC_NOISE if method == "ols-imusic" and K > M - K else METHODS[method]
     if K == 0:
         return np.empty(0, dtype=float)
-    X = row.operand(partition(R, K))  # the one and only EVD
+    X = getattr(partition(R, K), row.operand)  # the one and only EVD
     if not row.greedy:
         values = objective_values(X, grid, row.form, evaluator)
         return grid.angles[select_peak_indices(values, K)]

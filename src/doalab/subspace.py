@@ -1,8 +1,9 @@
 """Sample covariance, its signal/noise split, and spectral peak picking.
 
 :func:`partition` is the one eigendecomposition behind every estimator in
-:mod:`doalab.methods`; its :class:`SubspaceDecomposition` holds each operand
-a method can score.
+:mod:`doalab.methods`.  Its :class:`SubspaceDecomposition` keeps the
+eigenpairs once; each operand a method can score is a view or a column
+scaling of them.
 """
 
 from __future__ import annotations
@@ -11,53 +12,66 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from doalab.linalg import HermitianEvd, covariance_sqrt, hermitian_evd, require_psd
+from doalab.linalg import hermitian_evd
 
 
 @dataclass(frozen=True)
 class SubspaceDecomposition:
-    """Signal/noise split of a sample covariance.
+    """Eigenpairs of a PSD covariance, split after the K dominant ones.
 
     Attributes:
-        S: M x K matrix of the K dominant eigenvectors.
-        G: M x (M-K) matrix of the remaining eigenvectors.
-        lambda_s: The K largest eigenvalues, descending.
-        lambda_n: The M-K smallest eigenvalues, descending.
+        eigenvalues: The M eigenvalues, descending and nonnegative.
+        eigenvectors: M x M unitary matrix of the matching eigenvectors.
+        K: Signal subspace dimension.
+
+    S, G, lambda_s and lambda_n are views of the eigenpairs; the scaled
+    operands are built on each access.
     """
 
-    S: np.ndarray
-    G: np.ndarray
-    lambda_s: np.ndarray
-    lambda_n: np.ndarray
+    eigenvalues: np.ndarray
+    eigenvectors: np.ndarray
+    K: int
 
     @property
     def M(self) -> int:
-        return self.S.shape[0]
+        return self.eigenvectors.shape[0]
 
     @property
-    def K(self) -> int:
-        return self.S.shape[1]
+    def S(self) -> np.ndarray:
+        """M x K matrix of the K dominant eigenvectors."""
+        return self.eigenvectors[:, : self.K]
 
+    @property
+    def G(self) -> np.ndarray:
+        """M x (M-K) matrix of the remaining eigenvectors."""
+        return self.eigenvectors[:, self.K :]
+
+    @property
+    def lambda_s(self) -> np.ndarray:
+        """The K largest eigenvalues, descending."""
+        return self.eigenvalues[: self.K]
+
+    @property
+    def lambda_n(self) -> np.ndarray:
+        """The M-K smallest eigenvalues, descending."""
+        return self.eigenvalues[self.K :]
+
+    @property
     def weighted_signal(self) -> np.ndarray:
         """Signal eigenvectors scaled columnwise by sqrt(lambda_s)."""
         return self.S * np.sqrt(self.lambda_s)[None, :]
 
+    @property
     def weighted_noise(self) -> np.ndarray:
         """Noise eigenvectors scaled columnwise by sqrt(lambda_n)."""
         return self.G * np.sqrt(self.lambda_n)[None, :]
 
     @property
     def sqrt_R(self) -> np.ndarray:
-        """Canonical covariance square root (:func:`covariance_sqrt`), built
-        on each access: its first K columns are S scaled by sqrt(lambda_s)
-        and the rest G scaled by sqrt(lambda_n), so subspace and square-root
-        views agree exactly."""
-        return covariance_sqrt(
-            HermitianEvd(
-                eigenvalues=np.concatenate((self.lambda_s, self.lambda_n)),
-                eigenvectors=np.concatenate((self.S, self.G), axis=1),
-            )
-        )
+        """Canonical covariance square root ``V diag(sqrt(eigenvalues))``:
+        its first K columns are weighted_signal and the rest weighted_noise,
+        exactly."""
+        return self.eigenvectors * np.sqrt(self.eigenvalues)[None, :]
 
 
 def sample_covariance(Y: np.ndarray) -> np.ndarray:
@@ -74,7 +88,8 @@ def sample_covariance(Y: np.ndarray) -> np.ndarray:
 
 
 def partition(R: np.ndarray, K: int) -> SubspaceDecomposition:
-    """Eigendecompose R and split eigenpairs into signal and noise parts.
+    """Eigendecompose R (:func:`doalab.linalg.hermitian_evd`) and split its
+    eigenpairs after the K dominant ones.
 
     Args:
         R: M x M Hermitian PSD sample covariance.
@@ -87,14 +102,7 @@ def partition(R: np.ndarray, K: int) -> SubspaceDecomposition:
     M = R.shape[0]
     if not 1 <= K < M:
         raise ValueError(f"K must satisfy 1 <= K < M, got K={K}, M={M}")
-    evd = hermitian_evd(R)
-    require_psd(evd)
-    return SubspaceDecomposition(
-        S=evd.eigenvectors[:, :K],
-        G=evd.eigenvectors[:, K:],
-        lambda_s=evd.eigenvalues[:K],
-        lambda_n=evd.eigenvalues[K:],
-    )
+    return SubspaceDecomposition(*hermitian_evd(R), K)
 
 
 def select_peak_indices(values: np.ndarray, K: int) -> np.ndarray:

@@ -28,7 +28,7 @@ import pytest
 from doalab.bench import run_trial
 from doalab.fastgrid import MASK_RTOL, make_grid
 from doalab.greedy import greedy_objective, greedy_update, initial_state
-from doalab.linalg import covariance_sqrt, evd_call_count, hermitian_evd
+from doalab.linalg import evd_call_count, hermitian_evd
 from doalab.methods import METHOD_IDS, estimate_method
 from doalab.metrics import associate, detection_metrics, diagnostics, diagonality_score
 from doalab.scenario import (
@@ -129,7 +129,7 @@ def test_criterion_01_captured_energy_forms_agree():
     for _ in range(100):
         Y = _random_observation(rng, M, L)
         R = sample_covariance(Y)
-        sqrt_R = covariance_sqrt(hermitian_evd(R))
+        sqrt_R = partition(R, K).sqrt_R
         P, _ = projectors(steering_matrix(_separated_angles(rng, K), M))
         form_snapshots = np.linalg.norm(Y.conj().T @ P) ** 2 / L
         form_trace = float(np.trace(R @ P).real)
@@ -182,7 +182,7 @@ def test_criterion_02_ols_fast_form_matches_naive_refit():
     grid = make_grid(N, M)
     for _ in range(100):
         R = sample_covariance(_random_observation(rng, M, L))
-        sqrt_R = covariance_sqrt(hermitian_evd(R))
+        sqrt_R = partition(R, K).sqrt_R
         state = initial_state(sqrt_R, grid, "fft")
         for _ in range(K):
             fast = greedy_objective(state, "ratio")
@@ -195,7 +195,7 @@ def test_criterion_02_ols_fast_form_matches_naive_refit():
     M2, N2 = 16, 2048
     grid2 = make_grid(N2, M2)
     R2 = sample_covariance(_random_observation(rng, M2, 64))
-    sqrt_R2 = covariance_sqrt(hermitian_evd(R2))
+    sqrt_R2 = partition(R2, 1).sqrt_R
     state2 = initial_state(sqrt_R2, grid2, "fft")
     for _ in range(2):
         ps = greedy_objective(state2, "ratio")
@@ -224,13 +224,12 @@ def test_criterion_03_residual_correlation_equals_weighted_subspace_sum():
     worst = 0.0
     for _ in range(100):
         R = sample_covariance(_random_observation(rng, M, L))
-        evd = hermitian_evd(R)
-        sqrt_R = covariance_sqrt(evd)
-        state = initial_state(sqrt_R, grid, "direct")
+        dec = partition(R, K)
+        state = initial_state(dec.sqrt_R, grid, "direct")
         for _ in range(K):
             omp_vals = greedy_objective(state, "norm")
-            proj = (complement_projector(state) @ evd.eigenvectors).conj().T @ grid.steering
-            subspace_sum = evd.eigenvalues @ (proj.real**2 + proj.imag**2)
+            proj = (complement_projector(state) @ dec.eigenvectors).conj().T @ grid.steering
+            subspace_sum = dec.eigenvalues @ (proj.real**2 + proj.imag**2)
             scale = float(omp_vals.max())
             np.testing.assert_allclose(
                 subspace_sum, omp_vals, rtol=1e-9, atol=1e-9 * scale
@@ -281,10 +280,9 @@ def test_criterion_05_fft_evaluator_matches_direct_and_is_faster():
     rng = trial_rng(cfg.seed, 0)
     truth = draw_targets(cfg, rng)
     R = sample_covariance(synthesize_observation(truth, cfg, rng).Y)
-    evd = hermitian_evd(R)
     dec = partition(R, K)
 
-    sqrt_R = covariance_sqrt(evd)
+    sqrt_R = dec.sqrt_R
     gstate = initial_state(sqrt_R, grid, "fft")
     for _ in range(3):
         vals = greedy_objective(gstate, "ratio")
@@ -293,13 +291,13 @@ def test_criterion_05_fft_evaluator_matches_direct_and_is_faster():
     for _ in range(3):
         vals = greedy_objective(istate, "ratio")
         greedy_update(istate, grid.angles[int(np.argmax(vals))])
-    weighted_res = residual(istate, dec.weighted_signal())
+    weighted_res = residual(istate, dec.weighted_signal)
 
     cases = {
         "music-signal": (dec.S, None),
         "music-noise": (dec.G, None),
-        "wmusic-signal": (dec.weighted_signal(), None),
-        "wmusic-noise": (dec.weighted_noise(), None),
+        "wmusic-signal": (dec.weighted_signal, None),
+        "wmusic-noise": (dec.weighted_noise, None),
         "omp": (residual(gstate, sqrt_R), complement_projector(gstate)),
         "ols": (residual(gstate, sqrt_R), complement_projector(gstate)),
         "omp-imusic": (residual(istate, dec.S), complement_projector(istate)),
@@ -667,15 +665,15 @@ def test_criterion_14_module_property_spot_checks():
 
     # Eigendecomposition reconstruction and unitarity.
     R = sample_covariance(_random_observation(rng, 10, 40))
-    evd = hermitian_evd(R)
+    w, V = hermitian_evd(R)
     np.testing.assert_allclose(
-        (evd.eigenvectors * evd.eigenvalues) @ evd.eigenvectors.conj().T,
+        (V * w) @ V.conj().T,
         R,
         atol=1e-12 * float(np.linalg.norm(R)),
         rtol=1e-10,
     )
     np.testing.assert_allclose(
-        evd.eigenvectors.conj().T @ evd.eigenvectors, np.eye(10), atol=1e-12
+        V.conj().T @ V, np.eye(10), atol=1e-12
     )
 
     # Subspace complementarity.

@@ -998,6 +998,19 @@ def test_cli_exit_codes(tmp_path, capsys):
     assert main(["orbit"]) == 1  # unknown subcommand is a usage error
 
 
+def test_cli_sweep_checks_out_before_the_first_trial(tmp_path, capsys, monkeypatch):
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("the sweep ran before --out was checked")
+
+    monkeypatch.setattr(bench, "run_sweep", no_sweep)
+    config = write_config(tmp_path, CLI_CONFIG)
+    out = tmp_path / "no" / "such" / "x.csv"
+    assert main(["sweep", "--config", config, "--out", str(out), "--serial"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("I/O error:") and str(out) in err
+    assert not out.parent.exists()
+
+
 def test_cli_pins_blas_threads():
     for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
         assert os.environ.get(var)

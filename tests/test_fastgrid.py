@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import random_complex
+from conftest import random_complex, random_covariance
 from doalab import fastgrid, linalg
 from doalab.fastgrid import (
     SAT_VALUE,
@@ -16,11 +16,35 @@ from doalab.fastgrid import (
     objective_values,
     quadform_fft,
 )
+from doalab.methods import METHOD_IDS, METHODS, estimate_method, pseudospectrum
+from doalab.order import aic_rank, hybrid_order
 from doalab.scenario import steering_matrix, steering_vector
+from doalab.subspace import partition
 from reference_linalg import projectors
 
 
 # ---------------------------------------------------------------- grid
+
+
+@pytest.mark.parametrize("evaluator", ["fft", "direct"])
+@pytest.mark.parametrize("M, grid_args", [(8, (64, 16)), (64, (32, 8))])
+def test_grid_for_another_array_size_is_rejected(M, grid_args, evaluator):
+    # Unchecked, the M=8 covariance on the M=16 grid returns angles on the fft
+    # path and fails inside numpy's matmul on the direct one; the M=64
+    # covariance on the N=32 grid finds no FFT split length.
+    grid = make_grid(*grid_args)
+    R = random_covariance(np.random.default_rng(M), M)
+    match = f"operand has {M} rows but the grid has M={grid.M}"
+    for method in METHOD_IDS:
+        with pytest.raises(ValueError, match=match):
+            estimate_method(method, R, 2, grid, evaluator)
+    dec = partition(R, 2)
+    for variant in (m for m in METHOD_IDS if not METHODS[m].greedy):
+        with pytest.raises(ValueError, match=match):
+            pseudospectrum(dec, grid, variant, evaluator)
+    base = aic_rank(dec.eigenvalues, 64)
+    with pytest.raises(ValueError, match=match):
+        hybrid_order(dec.sqrt_R, grid, M - 1, base, 64, evaluator)
 
 
 def test_make_grid_structure():
@@ -279,8 +303,8 @@ def test_reciprocal_form_saturates_vanishing_denominator():
     p0 = 20
     a = steering_vector(grid.angles[p0], M)
     _, Pc = projectors(a.reshape(M, 1))
-    evd = linalg.hermitian_evd(Pc)
-    G = evd.eigenvectors[:, : M - 1]  # orthonormal basis of a's complement
+    _, V = linalg.hermitian_evd(Pc)
+    G = V[:, : M - 1]  # orthonormal basis of a's complement
     vals = objective_values(G, grid, "reciprocal")
     assert vals[p0] == SAT_VALUE
     assert np.argmax(vals) == p0
@@ -300,8 +324,8 @@ def test_reciprocal_form_saturation_is_scale_invariant(scale):
     p0 = 20
     a = steering_vector(grid.angles[p0], M)
     _, Pc = projectors(a.reshape(M, 1))
-    evd = linalg.hermitian_evd(Pc)
-    G = scale * evd.eigenvectors[:, : M - 1]
+    _, V = linalg.hermitian_evd(Pc)
+    G = scale * V[:, : M - 1]
     fast = objective_values(G, grid, "reciprocal")
     slow = objective_values(G, grid, "reciprocal", "direct")
     np.testing.assert_array_equal(fast == SAT_VALUE, slow == SAT_VALUE)

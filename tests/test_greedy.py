@@ -13,7 +13,6 @@ from doalab.greedy import (
     greedy_update,
     initial_state,
 )
-from doalab.linalg import covariance_sqrt, hermitian_evd
 from doalab.methods import METHODS, estimate_method
 from doalab.scenario import (
     GroundTruth,
@@ -47,7 +46,7 @@ def scenario_sqrt(seed, M=8, K=3, snr_db=30.0, N=256):
     truth = draw_targets(cfg, rng)
     obs = synthesize_observation(truth, cfg, rng)
     R = sample_covariance(obs.Y)
-    return obs, R, covariance_sqrt(hermitian_evd(R)), make_grid(N, M)
+    return obs, R, partition(R, K).sqrt_R, make_grid(N, M)
 
 
 def slow_objective_forms(state, obs, R, sqrt_R, grid):
@@ -269,7 +268,7 @@ def test_basis_stays_orthonormal_at_k_m_minus_one(method):
     )
     rng = trial_rng(cfg.seed, 11)
     obs = synthesize_observation(draw_targets(cfg, rng), cfg, rng)
-    sqrt_R = covariance_sqrt(hermitian_evd(sample_covariance(obs.Y)))
+    sqrt_R = partition(sample_covariance(obs.Y), 1).sqrt_R
     M = cfg.antennas
     grid = make_grid(cfg.grid_points, M)
     state = initial_state(sqrt_R, grid, "direct")

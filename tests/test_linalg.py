@@ -5,6 +5,7 @@ import pytest
 
 from conftest import random_complex, random_covariance
 from doalab import linalg
+from doalab.subspace import SubspaceDecomposition, partition
 from reference_linalg import projectors, pseudoinverse
 
 SEEDS = range(12)
@@ -15,8 +16,8 @@ def test_evd_reconstructs_input(seed):
     rng = np.random.default_rng(seed)
     M = int(rng.integers(2, 24))
     R = random_covariance(rng, M)
-    evd = linalg.hermitian_evd(R)
-    rebuilt = (evd.eigenvectors * evd.eigenvalues) @ evd.eigenvectors.conj().T
+    w, V = linalg.hermitian_evd(R)
+    rebuilt = (V * w) @ V.conj().T
     np.testing.assert_allclose(rebuilt, R, rtol=0, atol=1e-10 * np.linalg.norm(R))
 
 
@@ -25,15 +26,11 @@ def test_evd_descending_orthonormal_trace(seed):
     rng = np.random.default_rng(seed)
     M = int(rng.integers(2, 24))
     R = random_covariance(rng, M)
-    evd = linalg.hermitian_evd(R)
-    assert np.all(np.diff(evd.eigenvalues) <= 0)
-    np.testing.assert_allclose(
-        evd.eigenvectors.conj().T @ evd.eigenvectors, np.eye(M), atol=1e-12
-    )
+    w, V = linalg.hermitian_evd(R)
+    assert np.all(np.diff(w) <= 0)
+    np.testing.assert_allclose(V.conj().T @ V, np.eye(M), atol=1e-12)
     # Eigenvalue sum equals the trace.
-    np.testing.assert_allclose(
-        evd.eigenvalues.sum(), np.trace(R).real, rtol=1e-10
-    )
+    np.testing.assert_allclose(w.sum(), np.trace(R).real, rtol=1e-10)
 
 
 def test_evd_clamps_rounding_negatives():
@@ -41,21 +38,22 @@ def test_evd_clamps_rounding_negatives():
     # tiny negative values, which must come out exactly zero.
     v = np.array([1.0, 1j, 0.0]) / np.sqrt(2)
     R = 2.0 * np.outer(v, v.conj())
-    evd = linalg.hermitian_evd(R)
-    assert np.all(evd.eigenvalues >= 0)
-    np.testing.assert_allclose(evd.eigenvalues[0], 2.0, rtol=1e-12)
-    np.testing.assert_allclose(evd.eigenvalues[1:], 0.0, atol=1e-12)
+    w, _ = linalg.hermitian_evd(R)
+    assert np.all(w >= 0)
+    np.testing.assert_allclose(w[0], 2.0, rtol=1e-12)
+    np.testing.assert_allclose(w[1:], 0.0, atol=1e-12)
 
 
-def test_evd_keeps_genuinely_negative_eigenvalues():
-    # Indefinite Hermitian input: the -1 eigenvalue is far outside the
-    # rounding clamp band and must survive (square-root extraction is where
-    # that becomes an error).
-    R = np.diag([1.0, -1.0]).astype(complex)
-    evd = linalg.hermitian_evd(R)
-    np.testing.assert_allclose(sorted(evd.eigenvalues), [-1.0, 1.0])
+def test_evd_rejects_an_indefinite_matrix():
+    # Each negative eigenvalue lies beyond the rounding clamp band
+    # (PSD_CLAMP_RTOL of the largest): every caller takes square roots of the
+    # eigenvalues, so the decomposition refuses the matrix.
+    for R in (np.diag([1.0, -1.0]), np.diag([1.0, 0.5, -1e-9])):
+        with pytest.raises(ValueError, match="positive semidefinite"):
+            linalg.hermitian_evd(R.astype(complex))
+    # All-negative spectrum: the clamp band, relative to max(w[0], 0), is empty.
     with pytest.raises(ValueError, match="positive semidefinite"):
-        linalg.covariance_sqrt(evd)
+        linalg.hermitian_evd(-np.eye(2, dtype=complex))
 
 
 def test_evd_input_validation():
@@ -72,8 +70,8 @@ def test_evd_accepts_noncontiguous_views():
     big = random_covariance(rng, 8)
     view = big[::2, ::2]  # Hermitian sub-sampling, non-contiguous
     view = 0.5 * (view + view.conj().T)
-    evd = linalg.hermitian_evd(view)
-    np.testing.assert_allclose(evd.eigenvalues.sum(), np.trace(view).real, rtol=1e-10)
+    w, _ = linalg.hermitian_evd(view)
+    np.testing.assert_allclose(w.sum(), np.trace(view).real, rtol=1e-10)
 
 
 def test_evd_counter_counts_calls():
@@ -89,7 +87,7 @@ def test_covariance_sqrt_reproduces_input(seed):
     rng = np.random.default_rng(seed)
     M = int(rng.integers(2, 24))
     R = random_covariance(rng, M, rank=max(1, M // 2))
-    root = linalg.covariance_sqrt(linalg.hermitian_evd(R))
+    root = partition(R, 1).sqrt_R
     np.testing.assert_allclose(
         root @ root.conj().T, R, rtol=0, atol=1e-10 * np.linalg.norm(R)
     )
@@ -98,11 +96,9 @@ def test_covariance_sqrt_reproduces_input(seed):
 def test_covariance_sqrt_columns_are_scaled_eigenvectors():
     rng = np.random.default_rng(7)
     R = random_covariance(rng, 6)
-    evd = linalg.hermitian_evd(R)
-    root = linalg.covariance_sqrt(evd)
-    np.testing.assert_allclose(
-        root, evd.eigenvectors * np.sqrt(evd.eigenvalues), atol=1e-15
-    )
+    w, V = linalg.hermitian_evd(R)
+    root = SubspaceDecomposition(w, V, K=2).sqrt_R
+    np.testing.assert_array_equal(root, V * np.sqrt(w))
 
 
 @pytest.mark.parametrize("seed", SEEDS)

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from doalab import order
 from doalab.fastgrid import make_grid
-from doalab.linalg import covariance_sqrt, hermitian_evd
+from doalab.linalg import hermitian_evd
 from doalab.order import (
     OrderEstimate,
     aic_rank,
@@ -23,7 +23,7 @@ from doalab.scenario import (
     synthesize_observation,
     trial_rng,
 )
-from doalab.subspace import sample_covariance
+from doalab.subspace import SubspaceDecomposition, sample_covariance
 
 
 def aic_curve_oracle(w, L):
@@ -125,8 +125,8 @@ def test_aic_recovers_order_from_synthetic_covariance():
     rng = trial_rng(cfg.seed, 0)
     truth = draw_targets(cfg, rng)
     obs = synthesize_observation(truth, cfg, rng)
-    evd = hermitian_evd(sample_covariance(obs.Y))
-    est = aic_rank(evd.eigenvalues, cfg.snapshots)
+    eigenvalues, _ = hermitian_evd(sample_covariance(obs.Y))
+    est = aic_rank(eigenvalues, cfg.snapshots)
     assert est.k_hat == cfg.targets
 
 
@@ -161,8 +161,8 @@ def hybrid_inputs(seed=0, K=2, M=8, snr_db=math.inf, on_grid=True, N=256):
         truth = draw_targets(cfg, rng)
     obs = synthesize_observation(truth, cfg, rng)
     R = sample_covariance(obs.Y)
-    evd = hermitian_evd(R)
-    return cfg, grid, R, covariance_sqrt(evd), evd
+    evd = SubspaceDecomposition(*hermitian_evd(R), K=0)
+    return cfg, grid, R, evd.sqrt_R, evd
 
 
 def test_hybrid_noiseless_stops_at_true_order():
@@ -262,8 +262,8 @@ def test_hybrid_stops_below_max_k_on_a_noisy_scene():
     for t in range(12):
         rng = trial_rng(cfg.seed, t)
         obs = synthesize_observation(draw_targets(cfg, rng), cfg, rng)
-        evd = hermitian_evd(sample_covariance(obs.Y))
+        evd = SubspaceDecomposition(*hermitian_evd(sample_covariance(obs.Y)), K=0)
         base = aic_rank(evd.eigenvalues, L)
-        est = hybrid_order(covariance_sqrt(evd), grid, M - 1, base, L, "direct")
+        est = hybrid_order(evd.sqrt_R, grid, M - 1, base, L, "direct")
         k_hats.append(est.k_hat)
     assert min(k_hats) < M - 1, k_hats

@@ -76,12 +76,8 @@ def test_partition_splits_eigenpairs(seed):
     np.testing.assert_allclose(
         dec.sqrt_R @ dec.sqrt_R.conj().T, R, atol=1e-10 * np.linalg.norm(R)
     )
-    np.testing.assert_allclose(
-        dec.sqrt_R[:, :K], dec.S * np.sqrt(dec.lambda_s), atol=1e-15
-    )
-    np.testing.assert_allclose(
-        dec.sqrt_R[:, K:], dec.G * np.sqrt(dec.lambda_n), atol=1e-15
-    )
+    np.testing.assert_array_equal(dec.sqrt_R[:, :K], dec.weighted_signal)
+    np.testing.assert_array_equal(dec.sqrt_R[:, K:], dec.weighted_noise)
 
 
 def test_partition_rejects_bad_K():
@@ -116,12 +112,8 @@ def test_estimate_method_with_zero_order_returns_no_angle(method, evaluator):
 def test_weighted_operands_scale_columns():
     rng = np.random.default_rng(1)
     dec, _ = random_decomposition(rng, M=6, K=2)
-    np.testing.assert_allclose(
-        dec.weighted_signal(), dec.S * np.sqrt(dec.lambda_s), atol=1e-15
-    )
-    np.testing.assert_allclose(
-        dec.weighted_noise(), dec.G * np.sqrt(dec.lambda_n), atol=1e-15
-    )
+    np.testing.assert_array_equal(dec.weighted_signal, dec.S * np.sqrt(dec.lambda_s))
+    np.testing.assert_array_equal(dec.weighted_noise, dec.G * np.sqrt(dec.lambda_n))
 
 
 # ---------------------------------------------------------------- spectra
@@ -154,10 +146,9 @@ def test_weighted_signal_with_unit_eigenvalues_is_plain_signal():
     rng = np.random.default_rng(2)
     dec, _ = random_decomposition(rng, M=8, K=3)
     flat = SubspaceDecomposition(
-        S=dec.S,
-        G=dec.G,
-        lambda_s=np.ones(dec.K),
-        lambda_n=dec.lambda_n,
+        eigenvalues=np.concatenate([np.ones(dec.K), dec.lambda_n]),
+        eigenvectors=dec.eigenvectors,
+        K=dec.K,
     )
     grid = make_grid(64, 8)
     np.testing.assert_allclose(
