@@ -13,11 +13,9 @@ grows.  Run:
     python demos/evaluator_race.py
 """
 
-import os
+import doalab
 
-for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
-            "NUMEXPR_NUM_THREADS", "VECLIB_MAXIMUM_THREADS"):
-    os.environ.setdefault(var, "1")
+doalab.pin_blas_threads()  # before numpy loads; `import doalab` does not load it
 
 from time import perf_counter
 

@@ -6,7 +6,8 @@ in distribution, without the M x L observation).  Within a trial every
 method sees the identical covariance draw and — when their order criteria
 match — the identical estimated target count, so metric differences are
 attributable to the estimators alone.  Only the estimate call itself is
-timed; synthesis, order selection, and scoring stay outside the clock.
+timed; synthesis, order selection (:func:`doalab.order.model_orders`), and
+scoring stay outside the clock.
 
 Per-trial randomness comes from independent streams derived from the base
 seed and the trial index, so metric columns are bit-reproducible for a given
@@ -33,7 +34,6 @@ import numpy as np
 
 from doalab import pin_blas_threads
 from doalab.fastgrid import EVALUATORS, make_grid
-from doalab.linalg import hermitian_evd
 from doalab.methods import METHOD_IDS, estimate_method
 from doalab.metrics import (
     associate,
@@ -41,7 +41,7 @@ from doalab.metrics import (
     diagnostics,
     rmse_common_hits,
 )
-from doalab.order import aic_rank, hybrid_order
+from doalab.order import ORDER_CRITERIA, model_orders
 from doalab.scenario import (
     GroundTruth,
     ScenarioConfig,
@@ -50,10 +50,8 @@ from doalab.scenario import (
     draw_targets,
     trial_rng,
 )
-from doalab.subspace import SubspaceDecomposition
 
 SWEEP_PARAMETERS = ("snr_db", "targets", "subcarriers", "antennas")
-ORDER_CRITERIA = ("true-k", "rank-aic", "hybrid")
 
 # Fraction of per-method trial failures at one sweep point that triggers a
 # sweep warning.
@@ -80,8 +78,7 @@ def _check_trial_args(methods: tuple, criteria: tuple, evaluator: str) -> None:
             raise ValueError(f"unknown method id: {m!r}")
     if len(criteria) != len(methods):
         raise ValueError(
-            f"order_criterion must be one token or one per method, "
-            f"got {len(criteria)} for {len(methods)} methods"
+            f"need one order criterion per method, got {len(criteria)} for {len(methods)} methods"
         )
     for c in criteria:
         if c not in ORDER_CRITERIA:
@@ -100,11 +97,10 @@ class SweepSpec:
         methods: Method ids to compare.
         base: Scenario configuration the sweep perturbs.
         trials: Monte Carlo trials per sweep value.
-        order_criterion: How each method obtains its target count: a single
-            token applied to all methods, or one token per method.
-            "true-k" uses the configured count (order selection off),
-            "rank-aic" the eigenvalue criterion, "hybrid" the greedy
-            extension of it.
+        order_criterion: How every method obtains its target count, one
+            token of :data:`doalab.order.ORDER_CRITERIA`: "true-k" uses the
+            configured count (order selection off), "rank-aic" the
+            eigenvalue criterion, "hybrid" the greedy extension of it.
         evaluator: Grid evaluator for every method.
     """
 
@@ -113,16 +109,8 @@ class SweepSpec:
     methods: tuple
     base: ScenarioConfig
     trials: int = 500
-    order_criterion: str | tuple = "true-k"
+    order_criterion: str = "true-k"
     evaluator: str = "fft"
-
-    @property
-    def criteria(self) -> tuple:
-        """Per-method order criterion, aligned with ``methods``."""
-        oc = self.order_criterion
-        if isinstance(oc, str):
-            return (oc,) * len(self.methods)
-        return tuple(oc)
 
     def validate(self) -> None:
         """Raise ValueError on anything the sweep cannot run as given,
@@ -142,7 +130,9 @@ class SweepSpec:
             raise ValueError("methods must be non-empty")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
-        _check_trial_args(self.methods, self.criteria, self.evaluator)
+        _check_trial_args(
+            self.methods, (self.order_criterion,) * len(self.methods), self.evaluator
+        )
         self.base.validate()
 
 
@@ -219,18 +209,19 @@ def run_trial(
     The trial's stream first draws the targets, then their sample
     covariance (:func:`doalab.scenario.draw_covariance`, from the closed-form
     coefficient Gram that also feeds the scene diagnostics).  The
-    covariance, the search grid, and each order criterion's estimated
-    target count are computed once and shared across methods.  A failure
-    inside an estimate is captured in its outcome rather than raised, so one
-    bad trial never aborts a sweep; arguments no trial could run are
-    rejected before anything is drawn.
+    covariance, the search grid, and each order criterion's target count
+    (:func:`doalab.order.model_orders`) are computed once and shared across
+    methods.  A failure inside an estimate is captured in its outcome rather
+    than raised, so one bad trial never aborts a sweep; arguments no trial
+    could run are rejected before anything is drawn.
 
     Args:
         cfg: Scenario configuration (its seed plus ``trial_index`` fix the
             random stream).
         trial_index: Trial number within the sweep.
         methods: Method ids to run.
-        criteria: Per-method order criterion (default: true-k for all).
+        criteria: One order criterion per method, aligned with
+            ``methods`` (default: true-k for all).
         evaluator: "fft" or "direct".
 
     Raises:
@@ -246,18 +237,8 @@ def run_trial(
     gram = coefficient_gram(truth, cfg)
     R = draw_covariance(truth, gram, cfg, rng)
     grid = make_grid(cfg.grid_points, cfg.antennas, cfg.element_phase_factor)
-    M, L = cfg.antennas, cfg.snapshots
-
-    k_by_criterion = {}
-    if "true-k" in criteria:
-        k_by_criterion["true-k"] = cfg.targets
-    if "rank-aic" in criteria or "hybrid" in criteria:
-        dec = SubspaceDecomposition(*hermitian_evd(R), K=0)
-        base = aic_rank(dec.eigenvalues, L)
-        k_by_criterion["rank-aic"] = base.k_hat
-        if "hybrid" in criteria:
-            hyb = hybrid_order(dec.sqrt_R, grid, M - 1, base, L, evaluator)
-            k_by_criterion["hybrid"] = hyb.k_hat
+    M = cfg.antennas
+    k_by_criterion = model_orders(R, criteria, cfg.targets, cfg.snapshots, grid, evaluator)
 
     raw, assocs = {}, {}
     for method, crit in zip(methods, criteria):
@@ -404,7 +385,7 @@ def run_sweep(
     in the table's ``warnings`` and on stderr.
     """
     spec.validate()
-    criteria = spec.criteria
+    criteria = (spec.order_criterion,) * len(spec.methods)
     tasks = []
     for value in spec.values:
         cfg_v = _apply_sweep_value(spec.base, spec.parameter, value)
@@ -415,7 +396,6 @@ def run_sweep(
     results = _run_tasks(tasks, 1 if serial else _worker_count(workers))
 
     rows, warnings = [], []
-    crit_by_method = dict(zip(spec.methods, criteria))
     for vi, value in enumerate(spec.values):
         trials = results[vi * spec.trials : (vi + 1) * spec.trials]
         t_metric = float(np.mean([tr.t_metric for tr in trials]))
@@ -437,7 +417,7 @@ def run_sweep(
                     sweep_param=spec.parameter,
                     sweep_value=float(value),
                     method=method,
-                    criterion=crit_by_method[method],
+                    criterion=spec.order_criterion,
                     evaluator=spec.evaluator,
                     trials=spec.trials,
                     youden_j=_mean(o.youden_j for o in ok),

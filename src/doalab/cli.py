@@ -79,6 +79,8 @@ def _cmd_sweep(args) -> None:
         spec = replace(spec, evaluator=args.evaluator)
     if not os.path.isdir(os.path.dirname(args.out) or "."):  # before the first trial
         raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), args.out)
+    if os.path.isdir(args.out):
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), args.out)
     table = run_sweep(spec, serial=args.serial)
     emit_csv(table, args.out)
     print(

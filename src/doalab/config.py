@@ -48,7 +48,7 @@ class ConfigError(Exception):
 
 def _parse(section: str, key: str, kind, raw: str):
     """``raw`` read as the declared type ``kind``: a ``tuple`` is a comma
-    list, and for ``str | tuple`` a single token stays a ``str``."""
+    list."""
     if kind is int or kind is float:
         try:
             value = kind(raw)
@@ -60,8 +60,7 @@ def _parse(section: str, key: str, kind, raw: str):
         return value
     if kind is str:
         return raw.strip()
-    items = tuple(item.strip() for item in raw.split(",") if item.strip())
-    return items[0] if kind is not tuple and len(items) == 1 else items
+    return tuple(item.strip() for item in raw.split(",") if item.strip())
 
 
 def _section(parser, section: str, types: dict) -> dict:

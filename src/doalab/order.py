@@ -1,7 +1,8 @@
 """Model-order (target-count) selection.
 
-Two routes: the classic eigenvalue-ratio AIC over the covariance spectrum,
-and a hybrid scheme that trusts the eigenvalue estimate as a floor, then
+Every order a trial uses is decided here, by :func:`model_orders`: the
+configured count, the classic eigenvalue-ratio AIC over the covariance
+spectrum, or a hybrid scheme that trusts the AIC order as a floor, then
 keeps extending a greedy OLS estimate while a penalized residual criterion
 keeps improving.
 """
@@ -15,6 +16,10 @@ import numpy as np
 
 from doalab.fastgrid import DoaGrid
 from doalab.greedy import greedy_step, initial_state
+from doalab.linalg import hermitian_evd
+from doalab.subspace import SubspaceDecomposition
+
+ORDER_CRITERIA = ("true-k", "rank-aic", "hybrid")
 
 # Geometric-mean zero floor: keeps log of exact-zero eigenvalues finite.
 _EIG_FLOOR = 1e-300
@@ -30,12 +35,10 @@ class OrderEstimate:
         k_hat: Selected order.
         criterion_curve: Criterion value per candidate order 0..M-1 (NaN for
             orders the hybrid search never visited).
-        criterion_id: "rank-aic" or "hybrid".
     """
 
     k_hat: int
     criterion_curve: np.ndarray
-    criterion_id: str
 
 
 def aic_rank(eigenvalues: np.ndarray, snapshots: int) -> OrderEstimate:
@@ -72,9 +75,7 @@ def aic_rank(eigenvalues: np.ndarray, snapshots: int) -> OrderEstimate:
         tail = floored[k:]
         log_ratio = float(np.mean(np.log(tail)) - math.log(np.mean(tail)))
         curve[k] = -2.0 * snapshots * (M - k) * log_ratio + 2.0 * k * (2 * M - k)
-    return OrderEstimate(
-        k_hat=int(np.argmin(curve)), criterion_curve=curve, criterion_id="rank-aic"
-    )
+    return OrderEstimate(k_hat=int(np.argmin(curve)), criterion_curve=curve)
 
 
 def penalized_residual_criterion(k: int, eps_k: float, M: int, snapshots: int) -> float:
@@ -87,7 +88,7 @@ def penalized_residual_criterion(k: int, eps_k: float, M: int, snapshots: int) -
     energy by a factor under ``exp(2 (M - k) / (L M))``, 0.1% at L = 1024,
     M = 16, k = 8.  A pick that takes one of the M-k noise dimensions out of
     a noise-only residual removes about ``1/(M - k)`` of it, so at such
-    snapshot counts the hybrid search runs on to ``max_k``.
+    snapshot counts the hybrid search runs on to M-1.
     """
     return 2.0 * snapshots * M * math.log(eps_k) + 2.0 * k * (2 * M - k + 1)
 
@@ -95,35 +96,29 @@ def penalized_residual_criterion(k: int, eps_k: float, M: int, snapshots: int) -
 def hybrid_order(
     sqrt_R: np.ndarray,
     grid: DoaGrid,
-    max_k: int,
-    base: OrderEstimate,
+    k_floor: int,
     snapshots: int,
     evaluator: str = "fft",
 ) -> OrderEstimate:
-    """Extend an eigenvalue-based order estimate with greedy OLS refits.
+    """Extend an eigenvalue-based order with greedy OLS refits.
 
     Runs the greedy engine in the ratio form on the covariance square root
-    (OLS).  The first ``base.k_hat`` angles are added unconditionally (the
-    eigenvalue estimate is trusted as a floor); each further angle is kept
-    only while :func:`penalized_residual_criterion` decreases.  The result therefore never
-    falls below ``base.k_hat``.
+    (OLS).  The first ``k_floor`` angles are added unconditionally (the
+    eigenvalue estimate is trusted as a floor); each further angle, up to
+    M-1, is kept only while :func:`penalized_residual_criterion` decreases.
+    The result therefore lies in ``[k_floor, M-1]``.
 
     Args:
-        sqrt_R: Covariance square root: the OLS operand and the source of
-            the residual energy the criterion scores.
+        sqrt_R: M x M covariance square root: the OLS operand and the
+            source of the residual energy the criterion scores.
         grid: Search grid.
-        max_k: Largest order to consider; base.k_hat <= max_k < M.
-        base: The eigenvalue-based OrderEstimate to extend.
+        k_floor: Order to start from; ValueError unless 0 <= k_floor < M.
         snapshots: Snapshot count for the criterion.
         evaluator: "fft" or "direct".
-
-    Returns:
-        OrderEstimate with criterion_id "hybrid"; curve entries are NaN at
-        orders the search never evaluated.
     """
     M = sqrt_R.shape[0]
-    if not base.k_hat <= max_k < M:
-        raise ValueError(f"need base.k_hat <= max_k < M, got {base.k_hat}, {max_k}, {M}")
+    if not 0 <= k_floor < M:
+        raise ValueError(f"need 0 <= k_floor < M, got k_floor={k_floor}, M={M}")
 
     trace_R = float(np.sum(sqrt_R.real**2 + sqrt_R.imag**2))
     state = initial_state(sqrt_R, grid, evaluator)
@@ -134,14 +129,35 @@ def hybrid_order(
         return penalized_residual_criterion(k, eps, M, snapshots)
 
     curve = np.full(M, np.nan)
-    for _ in range(base.k_hat):
+    for _ in range(k_floor):
         greedy_step(state, "ratio")
-    k = base.k_hat
+    k = k_floor
     curve[k] = criterion_at(k)
-    while k < max_k:
+    while k < M - 1:
         greedy_step(state, "ratio")
         curve[k + 1] = criterion_at(k + 1)
         if not curve[k + 1] < curve[k]:
             break
         k += 1
-    return OrderEstimate(k_hat=k, criterion_curve=curve, criterion_id="hybrid")
+    return OrderEstimate(k_hat=k, criterion_curve=curve)
+
+
+def model_orders(R, criteria, K: int, snapshots: int, grid: DoaGrid, evaluator: str) -> dict:
+    """The target count of each order criterion in ``criteria``, by name.
+
+    "true-k" is the configured count K; "rank-aic" is :func:`aic_rank` on
+    the eigenvalues of R, averaged over ``snapshots``; "hybrid" is
+    :func:`hybrid_order` on R's square root over ``grid``, floored at the
+    rank-aic order.  R is eigendecomposed once, and only for rank-aic or
+    hybrid.
+    """
+    orders = {}
+    if "true-k" in criteria:
+        orders["true-k"] = K
+    if "rank-aic" in criteria or "hybrid" in criteria:
+        dec = SubspaceDecomposition(*hermitian_evd(R), K=0)
+        orders["rank-aic"] = aic_rank(dec.eigenvalues, snapshots).k_hat
+        if "hybrid" in criteria:
+            hyb = hybrid_order(dec.sqrt_R, grid, orders["rank-aic"], snapshots, evaluator)
+            orders["hybrid"] = hyb.k_hat
+    return orders

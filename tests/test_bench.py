@@ -1,5 +1,6 @@
 """Tests for the Monte Carlo harness, the config parser, and the CLI."""
 
+import errno
 import math
 import multiprocessing
 import os
@@ -503,7 +504,7 @@ def test_run_trial_captures_estimator_errors(monkeypatch):
         (dict(methods=("omp", "omp")), "unique"),
         (dict(methods=("omp", "grid-search")), "method id"),
         (dict(trials=0), "trials"),
-        (dict(order_criterion=("true-k",)), "one token or one per method"),
+        (dict(order_criterion=("true-k",)), "unknown order criterion"),
         (dict(order_criterion="oracle"), "order criterion"),
         (dict(evaluator="gpu"), "evaluator"),
         (dict(base=small_cfg(targets=9)), "targets"),
@@ -517,7 +518,7 @@ def test_sweep_spec_validation(overrides, message):
 @pytest.mark.parametrize(
     "args,message",
     [
-        ((METHOD_IDS, ("true-k",)), "one token or one per method"),
+        ((METHOD_IDS, ("true-k",)), "one order criterion per method"),
         ((("omp", "nope"), None), "unknown method id"),
         ((("omp", "omp"), None), "unique"),
         ((("omp",), ("oracle",)), "order criterion"),
@@ -711,7 +712,7 @@ parameter = snr_db
 values = 10, 20, inf   # noiseless endpoint
 trials = 2
 methods = music-signal, omp
-order_criterion = true-k, rank-aic
+order_criterion = rank-aic
 evaluator = direct
 """
 
@@ -728,7 +729,7 @@ def test_parse_config_happy_path(tmp_path):
     assert spec.values == (10.0, 20.0, math.inf)
     assert spec.methods == ("music-signal", "omp")
     assert spec.trials == 2
-    assert spec.criteria == ("true-k", "rank-aic")
+    assert spec.order_criterion == "rank-aic"
     assert spec.evaluator == "direct"
     assert spec.base.targets == 2 and spec.base.seed == 3
     spec.validate()
@@ -739,7 +740,7 @@ def test_parse_config_defaults(tmp_path):
     spec = parse_config(write_config(tmp_path, text))
     assert spec.trials == 500
     assert spec.evaluator == "fft"
-    assert spec.criteria == ("true-k",)
+    assert spec.order_criterion == "true-k"
     assert spec.values == (1, 2)
     assert spec.base == ScenarioConfig()
 
@@ -765,7 +766,7 @@ def test_parse_config_round_trips_every_field(tmp_path):
         methods=("omp", "ols-iwmusic", "wmusic-noise"),
         base=base,
         trials=7,
-        order_criterion=("hybrid", "rank-aic", "true-k"),
+        order_criterion="hybrid",
         evaluator="direct",
     )
     defaults = ScenarioConfig()
@@ -777,7 +778,7 @@ def test_parse_config_round_trips_every_field(tmp_path):
         "values = 8, 12",
         "methods = omp, ols-iwmusic, wmusic-noise",
         "trials = 7",
-        "order_criterion = hybrid, rank-aic, true-k",
+        "order_criterion = hybrid",
         "evaluator = direct",
     ]
     assert parse_config(write_config(tmp_path, "\n".join(lines))) == spec
@@ -809,13 +810,11 @@ def test_parse_config_reads_the_demo_config():
         (("snr_db = 20", "snr_db = nan"), "nan"),
         (("grid_points = 256", "grid_points = 300"), "power of two"),
         (("antennas = 8", "antennas = 1"), "\\[scenario\\]"),
+        (("order_criterion = rank-aic", "order_criterion = oracle"), "order_criterion"),
+        # One token per sweep: a per-method list is not a criterion.
         (
-            ("order_criterion = true-k, rank-aic", "order_criterion = oracle"),
-            "order_criterion",
-        ),
-        (
-            ("order_criterion = true-k, rank-aic", "order_criterion = true-k, rank-aic, hybrid"),
-            "one token or one per method",
+            ("order_criterion = rank-aic", "order_criterion = true-k, rank-aic"),
+            "order_criterion: 'true-k, rank-aic'",
         ),
         (("evaluator = direct", "evaluator = gpu"), "evaluator"),
     ],
@@ -1009,6 +1008,10 @@ def test_cli_sweep_checks_out_before_the_first_trial(tmp_path, capsys, monkeypat
     err = capsys.readouterr().err
     assert err.startswith("I/O error:") and str(out) in err
     assert not out.parent.exists()
+    # An --out that is a directory fails the same way, before the sweep.
+    assert main(["sweep", "--config", config, "--out", str(tmp_path), "--serial"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"I/O error: [Errno {errno.EISDIR}]") and str(tmp_path) in err
 
 
 def test_cli_pins_blas_threads():

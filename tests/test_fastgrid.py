@@ -44,7 +44,7 @@ def test_grid_for_another_array_size_is_rejected(M, grid_args, evaluator):
             pseudospectrum(dec, grid, variant, evaluator)
     base = aic_rank(dec.eigenvalues, 64)
     with pytest.raises(ValueError, match=match):
-        hybrid_order(dec.sqrt_R, grid, M - 1, base, 64, evaluator)
+        hybrid_order(dec.sqrt_R, grid, base.k_hat, 64, evaluator)
 
 
 def test_make_grid_structure():

@@ -9,11 +9,11 @@ from hypothesis import strategies as st
 
 from doalab import order
 from doalab.fastgrid import make_grid
-from doalab.linalg import hermitian_evd
+from doalab.linalg import evd_call_count, hermitian_evd
 from doalab.order import (
-    OrderEstimate,
     aic_rank,
     hybrid_order,
+    model_orders,
     penalized_residual_criterion,
 )
 from doalab.scenario import (
@@ -45,7 +45,6 @@ def aic_curve_oracle(w, L):
 def test_aic_flat_spectrum_picks_zero():
     est = aic_rank(np.ones(8) * 3.7, snapshots=500)
     assert est.k_hat == 0
-    assert est.criterion_id == "rank-aic"
     assert est.criterion_curve.shape == (8,)
     # Flat spectrum: data term vanishes at k=0 and the penalty grows.
     assert est.criterion_curve[0] == pytest.approx(0.0, abs=1e-9)
@@ -172,11 +171,7 @@ def test_hybrid_noiseless_stops_at_true_order():
     # (each accepted pick removes a full target) and then stop, because a
     # third pick cannot shrink an already-floored residual while the
     # penalty keeps growing.
-    base = OrderEstimate(
-        k_hat=1, criterion_curve=np.full(8, np.nan), criterion_id="rank-aic"
-    )
-    est = hybrid_order(sqrt_R, grid, max_k=6, base=base, snapshots=cfg.snapshots)
-    assert est.criterion_id == "hybrid"
+    est = hybrid_order(sqrt_R, grid, k_floor=1, snapshots=cfg.snapshots)
     assert est.k_hat == K
     # Orders past the stopping point were never visited.
     assert np.all(np.isnan(est.criterion_curve[K + 2 :]))
@@ -185,20 +180,25 @@ def test_hybrid_noiseless_stops_at_true_order():
 def test_hybrid_never_returns_less_than_base():
     cfg, grid, R, sqrt_R, evd = hybrid_inputs(K=2, snr_db=20.0, on_grid=False)
     for forced in (0, 1, 3, 5):
-        base = OrderEstimate(
-            k_hat=forced, criterion_curve=np.full(8, np.nan), criterion_id="rank-aic"
-        )
-        est = hybrid_order(sqrt_R, grid, max_k=6, base=base, snapshots=cfg.snapshots)
+        est = hybrid_order(sqrt_R, grid, k_floor=forced, snapshots=cfg.snapshots)
         assert est.k_hat >= forced
 
 
-def test_hybrid_base_at_max_k_returns_base_order():
+def test_hybrid_search_stops_at_m_minus_1(monkeypatch):
     cfg, grid, R, sqrt_R, evd = hybrid_inputs(K=2, snr_db=25.0, on_grid=False)
-    base = OrderEstimate(
-        k_hat=4, criterion_curve=np.full(8, np.nan), criterion_id="rank-aic"
-    )
-    est = hybrid_order(sqrt_R, grid, max_k=4, base=base, snapshots=cfg.snapshots)
-    assert est.k_hat == 4
+    M = sqrt_R.shape[0]
+    # A floor at M-1 leaves no step to take: only its own order is scored.
+    est = hybrid_order(sqrt_R, grid, k_floor=M - 1, snapshots=cfg.snapshots)
+    assert est.k_hat == M - 1
+    assert np.flatnonzero(~np.isnan(est.criterion_curve)).tolist() == [M - 1]
+    # A criterion that always improves runs the search as far as it goes:
+    # to M-1, never to M.
+    monkeypatch.setattr(order, "penalized_residual_criterion", lambda k, e, M, L: -float(k))
+    for floor in (0, M - 1):
+        est = hybrid_order(sqrt_R, grid, k_floor=floor, snapshots=cfg.snapshots)
+        assert est.k_hat == M - 1
+        assert est.criterion_curve.shape == (M,)
+        assert not np.any(np.isnan(est.criterion_curve[floor:]))
 
 
 def test_hybrid_residual_fraction_is_non_increasing(monkeypatch):
@@ -212,10 +212,7 @@ def test_hybrid_residual_fraction_is_non_increasing(monkeypatch):
         return penalized_residual_criterion(k, eps_k, M, snapshots)
 
     monkeypatch.setattr(order, "penalized_residual_criterion", spy)
-    base = OrderEstimate(
-        k_hat=0, criterion_curve=np.full(10, np.nan), criterion_id="rank-aic"
-    )
-    hybrid_order(sqrt_R, grid, max_k=9, base=base, snapshots=cfg.snapshots)
+    hybrid_order(sqrt_R, grid, k_floor=0, snapshots=cfg.snapshots)
     assert len(fractions) >= 2
     assert np.all(np.diff(fractions) <= 1e-12)
     assert np.all((np.array(fractions) >= 1e-12) & (np.array(fractions) <= 1.0 + 1e-12))
@@ -223,26 +220,21 @@ def test_hybrid_residual_fraction_is_non_increasing(monkeypatch):
 
 def test_hybrid_custom_criterion_is_pluggable(monkeypatch):
     cfg, grid, R, sqrt_R, evd = hybrid_inputs(K=2, snr_db=20.0, on_grid=False)
-    base = OrderEstimate(
-        k_hat=1, criterion_curve=np.full(8, np.nan), criterion_id="rank-aic"
-    )
-    # A criterion that always improves forces the search to max_k; one that
-    # never improves pins the result at the base.
+    # A criterion that always improves forces the search to M-1; one that
+    # never improves pins the result at the floor.
     monkeypatch.setattr(order, "penalized_residual_criterion", lambda k, e, M, L: -float(k))
-    always = hybrid_order(sqrt_R, grid, max_k=5, base=base, snapshots=cfg.snapshots)
+    always = hybrid_order(sqrt_R, grid, k_floor=1, snapshots=cfg.snapshots)
     monkeypatch.setattr(order, "penalized_residual_criterion", lambda k, e, M, L: float(k))
-    never = hybrid_order(sqrt_R, grid, max_k=5, base=base, snapshots=cfg.snapshots)
-    assert always.k_hat == 5
+    never = hybrid_order(sqrt_R, grid, k_floor=1, snapshots=cfg.snapshots)
+    assert always.k_hat == 7
     assert never.k_hat == 1
 
 
 def test_hybrid_argument_validation():
-    cfg, grid, R, sqrt_R, evd = hybrid_inputs(K=2)
-    base = OrderEstimate(
-        k_hat=3, criterion_curve=np.full(8, np.nan), criterion_id="rank-aic"
-    )
-    with pytest.raises(ValueError, match="max_k"):
-        hybrid_order(sqrt_R, grid, max_k=2, base=base, snapshots=128)
+    cfg, grid, R, sqrt_R, evd = hybrid_inputs(K=2)  # M = 8
+    for k_floor in (-1, 8, 9):
+        with pytest.raises(ValueError, match=f"need 0 <= k_floor < M, got k_floor={k_floor}, M=8"):
+            hybrid_order(sqrt_R, grid, k_floor=k_floor, snapshots=128)
 
 
 @pytest.mark.xfail(
@@ -264,6 +256,22 @@ def test_hybrid_stops_below_max_k_on_a_noisy_scene():
         obs = synthesize_observation(draw_targets(cfg, rng), cfg, rng)
         evd = SubspaceDecomposition(*hermitian_evd(sample_covariance(obs.Y)), K=0)
         base = aic_rank(evd.eigenvalues, L)
-        est = hybrid_order(evd.sqrt_R, grid, M - 1, base, L, "direct")
+        est = hybrid_order(evd.sqrt_R, grid, base.k_hat, L, "direct")
         k_hats.append(est.k_hat)
     assert min(k_hats) < M - 1, k_hats
+
+
+# ---------------------------------------------------------------- model_orders
+
+
+def test_model_orders_decomposes_only_for_estimated_orders():
+    cfg, grid, R, sqrt_R, evd = hybrid_inputs(K=2, snr_db=25.0, on_grid=False)
+    before = evd_call_count()
+    orders = model_orders(R, {"true-k"}, 5, cfg.snapshots, grid, "fft")
+    assert evd_call_count() == before
+    assert orders == {"true-k": 5}
+    orders = model_orders(R, {"rank-aic", "hybrid"}, 5, cfg.snapshots, grid, "fft")
+    assert evd_call_count() == before + 1
+    base = aic_rank(evd.eigenvalues, cfg.snapshots)
+    hybrid = hybrid_order(sqrt_R, grid, base.k_hat, cfg.snapshots, "fft")
+    assert orders == {"rank-aic": base.k_hat, "hybrid": hybrid.k_hat}
