@@ -2,13 +2,13 @@
 
 Every estimator in the package scores candidate angles through squared
 steering-vector correlations.  On the half-wavelength grid a spectral
-method transforms its operand onto the grid with FFTs and scores each grid
-point by the squared norm of its correlations (noise-form notches instead
-take a Toeplitz quadratic form driven by one inverse FFT); a greedy method
-transforms its operand the same way once, then one new basis column per
-selection, and updates the correlations it holds by a rank-one term.  This
-demo checks both evaluators agree to rounding and races them as the array
-grows.  Run:
+method scores every grid point with a Toeplitz quadratic form of its
+operand's Gram, driven by one inverse FFT whatever the operand's width
+(noise-form notches then recompute their near-null points exactly); a
+greedy method transforms its operand onto the grid with FFTs once, then one
+new basis column per selection, and updates the correlations it holds by a
+rank-one term.  This demo checks both evaluators agree to rounding and
+races them as the array grows.  Run:
 
     python demos/evaluator_race.py
 """
@@ -26,7 +26,7 @@ from doalab.methods import estimate_method
 from doalab.scenario import ScenarioConfig, draw_targets, synthesize_observation, trial_rng
 from doalab.subspace import sample_covariance
 
-METHODS = ("music-noise", "omp", "ols", "omp-imusic", "ols-imusic")
+METHODS = ("music-signal", "music-noise", "omp", "ols", "omp-imusic", "ols-imusic")
 
 
 def covariance_for(M, seed):
@@ -64,7 +64,7 @@ def main():
         for method, agree, t_fft, t_direct, ratio in race(M):
             print(f"{method:<14} {'yes' if agree else 'NO':>9} "
                   f"{t_fft:>9.2f} {t_direct:>10.2f} {ratio:>7.2f}x")
-    print("\nmusic-noise gains the most: its notches take one quadratic-form FFT.")
+    print("\nThe spectral rows gain the most: each takes one quadratic-form FFT.")
     print("Greedy methods transform their operand once and then one column per")
     print("selection, so their lead comes from the narrow operand transforms and")
     print("the per-selection column; wide operands (omp, ols on sqrt(R)) sit near")

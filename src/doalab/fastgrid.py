@@ -13,23 +13,24 @@ half-wavelength ULA, both landing in ascending-angle order:
   computed as N/L twiddled inverse FFTs of length L >= M (see
   grid_correlations).  The layout is operand-major: row j holds column j's
   correlations with the whole grid, contiguous.  A squared norm is a squared
-  column of it (see grid_norms_sq), so spectral numerators and the greedy
-  engine's scores both take this route, and each method's grid cost scales
-  with the width r of its own operand.
+  column of it (see grid_norms_sq).  The greedy engine's scores take this
+  route, because it updates the correlations it holds column by column, so
+  its grid cost scales with the width r of its operand.
 * quadratic form: ``||A^H a(u)||^2 = a(u)^H H a(u)`` with ``H = A A^H``, a
   trigonometric polynomial evaluated by a single length-N inverse FFT of H's
   diagonal sums: O(M^2 r + N log N), independent of r past the Gram product.
 
-Only reciprocal (noise-form) objectives, whose operands are the wide ones,
-take the quadratic form, and every point below a small threshold is then
-recomputed as an exact sum of squares, because their saturation test needs
-vanishing norms to come out nonnegative, whereas the quadratic form reaches
-zero by cancellation and can land a hair below it.  The greedy engine's
-projected steering norms ``||Pc a||^2`` take neither route: they start at M
-and fall by ``|q^H a|^2`` for each new basis column q, from that column's
-correlations (see :mod:`doalab.greedy`).  The direct evaluator, and any grid
-with another phase factor, takes the product with the stored steering matrix
-instead of the FFTs.
+Every spectral objective, signal (norm) and noise (reciprocal) form alike,
+takes the quadratic form.  A reciprocal form then recomputes every point
+below a small threshold as an exact sum of squares, because its saturation
+test needs vanishing norms to come out nonnegative, whereas the quadratic
+form reaches zero by cancellation and can land a hair below it; a norm form
+peaks where the values are large, so it needs no such refinement.  The
+greedy engine's projected steering norms ``||Pc a||^2`` take neither route:
+they start at M and fall by ``|q^H a|^2`` for each new basis column q, from
+that column's correlations (see :mod:`doalab.greedy`).  The direct
+evaluator, and any grid with another phase factor, takes the product with
+the stored steering matrix instead of the FFTs.
 """
 
 from __future__ import annotations
@@ -124,9 +125,15 @@ def _cached_grid(N: int, M: int, phase_factor: float) -> DoaGrid:
 
 @functools.lru_cache(maxsize=8)
 def _diag_offsets(M: int) -> np.ndarray:
-    """Diagonal offset plus M - 1 of each entry of a flattened M x M matrix."""
+    """Bincount bins of the float64 view of a flattened M x M complex matrix.
+
+    Entry (m, n) has diagonal offset d = n - m; its real part goes to bin
+    2 (d + M - 1) and its imaginary part to the bin after, so the bin sums
+    view as the complex diagonal sums for d = 1 - M .. M - 1.
+    """
     rng = np.arange(M)
-    idx = (rng[None, :] - rng[:, None] + M - 1).ravel()
+    diag = 2 * (rng[None, :] - rng[:, None] + M - 1).ravel()
+    idx = np.stack((diag, diag + 1), axis=1).ravel()
     idx.flags.writeable = False
     return idx
 
@@ -137,11 +144,17 @@ def _diag_sums(H: np.ndarray) -> np.ndarray:
     Returns g with g[d] = sum_m H[m, m + d] for d = 0 .. M-1.
     """
     M = H.shape[0]
-    idx = _diag_offsets(M)
-    flat = H.ravel()
-    re = np.bincount(idx, weights=flat.real, minlength=2 * M - 1)
-    im = np.bincount(idx, weights=flat.imag, minlength=2 * M - 1)
-    return re[M - 1 :] + 1j * im[M - 1 :]
+    parts = np.ascontiguousarray(H, dtype=complex).view(np.float64).ravel()
+    sums = np.bincount(_diag_offsets(M), weights=parts, minlength=2 * (2 * M - 1))
+    return sums.view(complex)[M - 1 :]
+
+
+@functools.lru_cache(maxsize=8)
+def _alternating_signs(M: int) -> np.ndarray:
+    """(-1)^d for d = 0 .. M-1."""
+    signs = 1.0 - 2.0 * (np.arange(M) % 2)
+    signs.flags.writeable = False
+    return signs
 
 
 def quadform_fft(H: np.ndarray, grid: DoaGrid) -> np.ndarray:
@@ -175,30 +188,27 @@ def quadform_fft(H: np.ndarray, grid: DoaGrid) -> np.ndarray:
         raise ValueError("quadform_fft requires the half-wavelength grid")
     g = _diag_sums(H)
     M = H.shape[0]
-    signs = 1.0 - 2.0 * (np.arange(M) % 2)
     buf = np.zeros(grid.N, dtype=complex)
-    buf[:M] = g * signs
+    np.multiply(g, _alternating_signs(M), out=buf[:M])
     z = sp_fft.ifft(buf, norm="forward", overwrite_x=True)
-    values = 2.0 * z.real - g[0].real
-    return np.maximum(values, 0.0)
+    values = 2.0 * z.real
+    values -= g[0].real
+    return np.maximum(values, 0.0, out=values)
 
 
-def _refined_colnorms_sq(A: np.ndarray, grid: DoaGrid) -> np.ndarray:
-    """Column norms via the quadratic form, exact near the nulls.
+def _refine_near_nulls(values: np.ndarray, A: np.ndarray, grid: DoaGrid) -> None:
+    """Make quadratic-form column norms exact near the nulls, in place.
 
-    Scores the whole grid with one quadratic-form transform, then
-    recomputes every point below REFINE_RTOL times the spectrum maximum as
+    Recomputes every point below REFINE_RTOL times the spectrum maximum as
     an explicit sum of squares.  Near-null values therefore carry no
     cancellation error: they stay nonnegative, vanish exactly when the
     steering vector is orthogonal to A, and keep full relative accuracy
     where reciprocal objectives peak, at any operand scale.
     """
-    values = quadform_fft(A @ A.conj().T, grid)
     small = np.flatnonzero(values < REFINE_RTOL * values.max())
     if small.size:
         proj = A.conj().T @ grid.steering[:, small]
         values[small] = np.sum(proj.real**2 + proj.imag**2, axis=0)
-    return values
 
 
 @functools.lru_cache(maxsize=8)
@@ -278,12 +288,14 @@ def objective_values(
     Args:
         num: Operand (subspace or weighted subspace) with M rows.
         grid: Search grid.
-        form: "norm" scores ``||num^H a||^2``, the squared columns of
-            grid_correlations, so its cost scales with the operand's width;
-            "reciprocal" scores its inverse, with saturation.
+        form: "norm" scores ``||num^H a||^2``; "reciprocal" scores its
+            inverse, with saturation.
         evaluator: "fft" or "direct"; both agree to 1e-8 relative.  On the
-            fft path the reciprocal form takes the width-independent
-            quadratic-form route with exact refinement of near-null points.
+            fft path both forms take the width-independent quadratic-form
+            route, one FFT of the Gram ``num num^H``, and the reciprocal form
+            recomputes its near-null points exactly; direct, and any grid
+            with another phase factor, take the squared columns of
+            grid_correlations, whose cost scales with the operand's width.
 
     Returns:
         Length-N value array aligned with ``grid.angles``.
@@ -293,22 +305,21 @@ def objective_values(
             operand whose row count is not ``grid.M``.
     """
     check_operand(num, grid)
-    if form == "norm":
-        return colnorms_sq(num, grid, evaluator)
-    if form != "reciprocal":
+    if form not in ("norm", "reciprocal"):
         raise ValueError(f"unknown objective form: {form!r}")
-    M = num.shape[0]
     if evaluator == "fft" and grid.phase_factor == math.pi:
-        values = _refined_colnorms_sq(num, grid)
+        values = quadform_fft(num @ num.conj().T, grid)
+        if form == "reciprocal":
+            _refine_near_nulls(values, num, grid)
     else:
         values = colnorms_sq(num, grid, evaluator)
+    if form == "norm":
+        return values
     # Normalized so that c * R selects what R selects (eigenvalue-weighted
     # operands scale with sqrt(c)); an orthonormal operand has scale 1.
     scale = np.max(np.sum(num.real**2 + num.imag**2, axis=0), initial=0.0)
     if scale > 0:
-        values = values / scale
-    sat = values < SAT_RTOL * M
-    out = np.empty_like(values)
-    out[~sat] = 1.0 / values[~sat]
-    out[sat] = SAT_VALUE
-    return out
+        values /= scale
+    sat = values < SAT_RTOL * num.shape[0]
+    out = np.full_like(values, SAT_VALUE)
+    return np.divide(1.0, values, out=out, where=~sat)

@@ -69,7 +69,7 @@ def hermitian_evd(R: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     w, V = np.linalg.eigh(R)
     # LAPACK returns ascending eigenvalues; flip to descending.
     w, V = w[::-1], V[:, ::-1]
-    if w.size:
+    if w.size and w[-1] < 0:
         tol = PSD_CLAMP_RTOL * max(w[0], 0.0)
         w[(w < 0) & (w >= -tol)] = 0.0
         if w[-1] < 0:

@@ -11,9 +11,10 @@ Each estimator is one row of three choices:
   (:func:`doalab.fastgrid.objective_values`), "norm" or a ratio form for a
   greedy one (:func:`doalab.fastgrid.apply_form`);
 * spectral or greedy: score the grid once and report the K largest peaks, or
-  run K iterations of the engine in :mod:`doalab.greedy`.  Either way the
-  operand is transformed onto the grid once per estimate; a greedy estimate
-  then transforms one more column per selection.
+  run K iterations of the engine in :mod:`doalab.greedy`.  On the fft path
+  a spectral estimate scores its operand's Gram with one quadratic-form FFT,
+  whatever the operand's width; a greedy estimate transforms its operand
+  onto the grid once, then one more column per selection.
 
 The square root factors exactly into the scaled signal and noise subspaces,
 so the greedy rows are one family: the OMP objective is the sum of the

@@ -277,6 +277,18 @@ def test_quadform_rank_one_steering_peak():
     np.testing.assert_allclose(vals[p0], M * M, rtol=1e-12)
 
 
+@pytest.mark.parametrize("M", [1, 2, 16, 64])
+def test_diag_sums_match_two_bincounts(M):
+    # The one interleaved bincount accumulates each part of each diagonal
+    # in the same order as separate real and imaginary bincounts.
+    H = random_complex(np.random.default_rng(M), M, M)
+    rng_m = np.arange(M)
+    idx = (rng_m[None, :] - rng_m[:, None] + M - 1).ravel()
+    re = np.bincount(idx, weights=H.ravel().real, minlength=2 * M - 1)
+    im = np.bincount(idx, weights=H.ravel().imag, minlength=2 * M - 1)
+    np.testing.assert_array_equal(fastgrid._diag_sums(H), re[M - 1 :] + 1j * im[M - 1 :])
+
+
 def test_quadform_rejects_non_halfwavelength_grid():
     grid = make_grid(64, 8, phase_factor=2.0)
     with pytest.raises(ValueError, match="half-wavelength"):
@@ -286,13 +298,28 @@ def test_quadform_rejects_non_halfwavelength_grid():
 # ---------------------------------------------------------------- objectives
 
 
-def test_norm_form_passthrough():
+@pytest.mark.parametrize("r", [1, 3, 15])
+def test_fft_norm_form_is_one_quadratic_form(r):
+    # On the half-wavelength grid the norm form is the quadratic form of the
+    # operand's Gram, whatever its width, and agrees with the direct
+    # evaluator to criterion 5's tolerance.
     rng = np.random.default_rng(3)
-    grid = make_grid(64, 8)
+    M = 16
+    grid = make_grid(256, M)
+    A = random_complex(rng, M, r)
+    vals = objective_values(A, grid, "norm")
+    np.testing.assert_array_equal(vals, quadform_fft(A @ A.conj().T, grid))
+    ref = colnorms_sq(A, grid, "direct")
+    np.testing.assert_allclose(vals, ref, rtol=0, atol=1e-8 * ref.max())
+
+
+def test_norm_form_off_the_fft_path_is_colnorms_sq():
+    rng = np.random.default_rng(3)
     A = random_complex(rng, 8, 3)
-    np.testing.assert_array_equal(
-        objective_values(A, grid, "norm"), colnorms_sq(A, grid, "fft")
-    )
+    for grid, evaluator in ((make_grid(64, 8), "direct"), (make_grid(64, 8, 2.0), "fft")):
+        np.testing.assert_array_equal(
+            objective_values(A, grid, "norm", evaluator), colnorms_sq(A, grid, evaluator)
+        )
 
 
 def test_reciprocal_form_saturates_vanishing_denominator():
