@@ -46,7 +46,6 @@ _EXPORTS = {
     "ScenarioConfig": "doalab.scenario",
     "GroundTruth": "doalab.scenario",
     "Observation": "doalab.scenario",
-    "steering_vector": "doalab.scenario",
     "steering_matrix": "doalab.scenario",
     "draw_targets": "doalab.scenario",
     "synthesize_observation": "doalab.scenario",

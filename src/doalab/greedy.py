@@ -1,22 +1,23 @@
-"""The greedy engine: one angle per iteration over a growing orthonormal basis.
+"""The greedy engine: one grid point per iteration over a growing orthonormal basis.
 
 Every greedy estimator in the package is the same loop over a different
 operand X: the covariance square root for OMP/OLS, and the signal subspace,
 its eigenvalue-weighted form or the noise subspace for the iterative-MUSIC
 family (see :mod:`doalab.methods`).  Each iteration scores the grid on the
 residual ``X - Q (Q^H X)``, where the columns of Q are an orthonormal basis of
-the selected steering span, and appends the best angle.  The "norm" form
-scores ``||residual^H a(u)||^2`` (OMP-type); the ratio forms divide that by
-the projected steering norm ``||Pc a(u)||^2`` with ``Pc = I - Q Q^H``, which
-is the least-squares improvement of refitting all selected angles plus the
-candidate (OLS-type).
+the selected steering span, and appends the index of the best grid point.
+The "norm" form scores ``||residual^H a(u)||^2`` (OMP-type); the ratio forms
+divide that by the projected steering norm ``||Pc a(u)||^2`` with
+``Pc = I - Q Q^H``, which is the least-squares improvement of refitting all
+selected angles plus the candidate (OLS-type).
 
-The basis grows by one column per selection: the new steering vector is
-orthogonalized against Q twice (classical Gram-Schmidt with one
-reorthogonalization, CGS2).  This is the orthogonal form of OLS (Chen,
-Billings & Luo 1989); the second pass keeps Q orthonormal to machine
-precision however ill-conditioned the selected steering matrix becomes
-("twice is enough": Giraud, Langou & Rozložník 2005).  So no per-iteration
+The basis grows by one column per selection: the picked point's column of
+the grid's steering table (``grid.steering``) is orthogonalized against Q
+twice (classical Gram-Schmidt with one reorthogonalization, CGS2).  This is
+the orthogonal form of OLS (Chen, Billings & Luo 1989); the second pass
+keeps Q orthonormal to machine precision however ill-conditioned the
+selected steering matrix becomes ("twice is enough": Giraud, Langou &
+Rozložník 2005).  So no per-iteration
 rebuild of the selected steering matrix, pseudoinverse or projector is
 needed, and the rank guard is simply the new column's residual norm.
 
@@ -41,7 +42,6 @@ from scipy.linalg.blas import zgeru
 from doalab.fastgrid import (
     MASK_RTOL, DoaGrid, apply_form, check_operand, grid_correlations, grid_norms_sq
 )
-from doalab.scenario import steering_vector
 
 
 @dataclass
@@ -49,13 +49,14 @@ class GreedyState:
     """Selection state of one greedy run on one operand X, updated in place.
 
     Attributes:
-        selected: Angles chosen so far, in selection order.
+        selected: Grid indices chosen so far, in selection order
+            (``grid.angles[list(selected)]`` are the angles).
         res: M x r residual ``X - Q (Q^H X)``.
         Z: r x N grid correlations ``res^H a(u)``, in ascending-angle order
             along each row.
         d: ``||Pc a(u)||^2`` over the grid.
         masked: ``d < MASK_RTOL * M``, the candidates every form passes over
-            (the selected angles among them).
+            (the selected points among them).
         grid, evaluator: Where and how Z is evaluated.
         basis: M x M buffer whose first len(selected) columns are Q.
         basis_h: M x M buffer whose first len(selected) rows are Q^H.
@@ -89,27 +90,29 @@ def initial_state(X: np.ndarray, grid: DoaGrid, evaluator: str = "fft") -> Greed
 
 
 def greedy_objective(state: GreedyState, form: str) -> np.ndarray:
-    """Scores for the next angle in ``form`` ("norm", "ratio" or
+    """Scores for the next grid point in ``form`` ("norm", "ratio" or
     "complement-ratio"); ratio forms mask degenerate candidates with -inf."""
     return apply_form(grid_norms_sq(state.Z), form, state.d, state.masked)
 
 
-def greedy_update(state: GreedyState, new_angle: float) -> None:
-    """Add one angle in place: append its steering vector, orthogonalized
-    twice against Q, and update res, Z and d by that one column.
+def greedy_update(state: GreedyState, p: int) -> None:
+    """Add grid point ``p`` in place: append its column of ``grid.steering``,
+    orthogonalized twice against Q, and update res, Z and d by that one column.
 
     Raises:
-        ValueError: If the angle was already selected.
-        numpy.linalg.LinAlgError: If the steering vector's residual squared
+        ValueError: Unless ``0 <= p < grid.N``, or if p was already selected.
+        numpy.linalg.LinAlgError: If the steering column's residual squared
             norm falls below ``MASK_RTOL * M``, the threshold at which ratio
             objectives mask a candidate (a near-duplicate selection).
     """
-    if new_angle in state.selected:
-        raise ValueError(f"angle {new_angle} already selected")
+    if not 0 <= p < state.grid.N:
+        raise ValueError(f"grid index out of range: {p}")
+    if p in state.selected:
+        raise ValueError(f"grid index {p} already selected")
     k = len(state.selected)
     Q, Qh = state.Q, state.basis_h[:k]
     M = Q.shape[0]
-    a = steering_vector(new_angle, M, state.grid.phase_factor)
+    a = state.grid.steering[:, p]
     for _ in range(2):
         a = a - Q @ (Qh @ a)
     norm_sq = float(np.vdot(a, a).real)
@@ -128,16 +131,16 @@ def greedy_update(state: GreedyState, new_angle: float) -> None:
     state.d -= c_sq[0]
     np.less(state.d, MASK_RTOL * M, out=state.masked)
     state.res -= np.outer(q, v)
-    state.selected += (float(new_angle),)
+    state.selected += (int(p),)
 
 
 def greedy_step(state: GreedyState, form: str) -> None:
-    """One iteration: select the grid angle with the best score.
+    """One iteration: select the grid index with the best score.
 
     Candidates that ratio forms mask (``||Pc a||^2`` below MASK_RTOL * M, the
-    selected angles among them) are passed over in every form, so a
-    residual that scores zero everywhere still selects a fresh angle.
+    selected points among them) are passed over in every form, so a
+    residual that scores zero everywhere still selects a fresh point.
     """
     values = greedy_objective(state, form)
     values[state.masked] = -np.inf
-    greedy_update(state, state.grid.angles[int(np.argmax(values))])
+    greedy_update(state, int(np.argmax(values)))

@@ -119,19 +119,19 @@ def estimate_method(
         evaluator: "fft" or "direct".
 
     Returns:
-        K distinct estimated normalized angles (selection order for greedy
-        methods, descending peak value for spectral ones).  Greedy
-        iterations pass over the selected and degenerate candidates in
-        every objective form (see :func:`doalab.greedy.greedy_step`), so a
-        degenerate covariance still yields K distinct angles: with R = 0
-        every score ties at zero and the lowest grid angles not yet
-        selected are picked.
+        K distinct estimated normalized angles: ``grid.angles`` at the K
+        picked grid indices (selection order for greedy methods, descending
+        peak value for spectral ones).  Greedy iterations pass over the
+        selected and degenerate candidates in every objective form (see
+        :func:`doalab.greedy.greedy_step`), so a degenerate covariance still
+        yields K distinct angles: with R = 0 every score ties at zero and
+        the lowest grid indices not yet selected are picked.
 
     Raises:
         ValueError: On an unknown method id or K outside 0 <= K < M.
         numpy.linalg.LinAlgError: From a greedy method, if a selected
-            angle's steering vector lies within rounding of the selected
-            span (see :func:`doalab.greedy.greedy_update`).
+            grid point's steering column lies within rounding of the
+            selected span (see :func:`doalab.greedy.greedy_update`).
     """
     if method not in METHODS:
         raise ValueError(f"unknown method id: {method!r}")
@@ -140,10 +140,11 @@ def estimate_method(
     if K == 0:
         return np.empty(0, dtype=float)
     X = getattr(partition(R, K), row.operand)  # the one and only EVD
-    if not row.greedy:
-        values = objective_values(X, grid, row.form, evaluator)
-        return grid.angles[select_peak_indices(values, K)]
-    state = initial_state(X, grid, evaluator)
-    for _ in range(K):
-        greedy_step(state, row.form)
-    return np.array(state.selected)
+    if row.greedy:
+        state = initial_state(X, grid, evaluator)
+        for _ in range(K):
+            greedy_step(state, row.form)
+        idx = list(state.selected)
+    else:
+        idx = select_peak_indices(objective_values(X, grid, row.form, evaluator), K)
+    return grid.angles[idx]

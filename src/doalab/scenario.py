@@ -153,25 +153,17 @@ def trial_rng(seed: int, trial_index: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(stream))
 
 
-def steering_vector(u: float, M: int, phase_factor: float = math.pi) -> np.ndarray:
-    """ULA steering vector for normalized angle u.
+def steering_matrix(us, M: int, phase_factor: float = math.pi) -> np.ndarray:
+    """ULA steering vectors for a sequence of normalized angles, as columns.
 
-    Entry m is exp(j * phase_factor * u * m) for m = 0..M-1; the first entry
-    is always 1 and all entries have unit modulus.
+    Entry (m, i) is exp(j * phase_factor * us[i] * m) for m = 0..M-1, so each
+    column starts at 1 and has unit-modulus entries.  Column order follows
+    the input order; an empty sequence yields an M x 0 matrix.  This is the
+    package's one steering builder: the grid's steering table
+    (:func:`doalab.fastgrid.make_grid`) is its output on the grid angles.
 
     Raises:
-        ValueError: If |u| > 1.
-    """
-    if abs(u) > 1.0:
-        raise ValueError(f"normalized angle out of range: {u}")
-    return np.exp(1j * phase_factor * u * np.arange(M))
-
-
-def steering_matrix(us, M: int, phase_factor: float = math.pi) -> np.ndarray:
-    """Stack steering vectors for a sequence of angles as matrix columns.
-
-    Column order follows the input order; an empty sequence yields an M x 0
-    matrix.
+        ValueError: If any |u| > 1.
     """
     us = np.asarray(us, dtype=float).reshape(-1)
     if us.size and np.max(np.abs(us)) > 1.0:

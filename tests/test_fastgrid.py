@@ -18,7 +18,7 @@ from doalab.fastgrid import (
 )
 from doalab.methods import METHOD_IDS, METHODS, estimate_method, pseudospectrum
 from doalab.order import aic_rank, hybrid_order
-from doalab.scenario import steering_matrix, steering_vector
+from doalab.scenario import steering_matrix
 from doalab.subspace import partition
 from reference_linalg import projectors
 
@@ -55,6 +55,18 @@ def test_make_grid_structure():
     np.testing.assert_allclose(grid.steering, steering_matrix(grid.angles, 8))
 
 
+@pytest.mark.parametrize("M", [8, 16, 64])
+def test_grid_steering_columns_are_steering_matrix_columns_bit_for_bit(M):
+    # The greedy engine takes each selected column from grid.steering, and
+    # every other caller builds steering vectors with steering_matrix: the
+    # two must agree to the last bit at every grid point.
+    grid = make_grid(2048, M)
+    for p in range(grid.N):
+        np.testing.assert_array_equal(
+            grid.steering[:, p], steering_matrix(grid.angles[p : p + 1], M)[:, 0]
+        )
+
+
 def test_make_grid_validation():
     with pytest.raises(ValueError, match=">= 2\\*M"):
         make_grid(8, 8)
@@ -79,7 +91,7 @@ def brute_colnorms(A, grid):
     """Per-candidate loop oracle for ||A^H a(u)||^2."""
     out = np.empty(grid.N)
     for p in range(grid.N):
-        a = steering_vector(grid.angles[p], grid.M, grid.phase_factor)
+        a = steering_matrix([grid.angles[p]], grid.M, grid.phase_factor)[:, 0]
         out[p] = np.sum(np.abs(A.conj().T @ a) ** 2)
     return out
 
@@ -167,7 +179,7 @@ def test_single_steering_column_concentrates_power():
     M, N = 16, 256
     grid = make_grid(N, M)
     p0 = 96
-    A = steering_vector(grid.angles[p0], M).reshape(M, 1)
+    A = steering_matrix([grid.angles[p0]], M)
     vals = colnorms_sq(A, grid, "fft")
     assert np.argmax(vals) == p0
     np.testing.assert_allclose(vals[p0], M * M, rtol=1e-12)
@@ -184,7 +196,7 @@ def test_grid_correlations_match_brute_force(M, phase_factor):
     grid = make_grid(64, M, phase_factor)
     A = random_complex(rng, M, 3)
     brute = np.stack(
-        [A.conj().T @ steering_vector(u, M, phase_factor) for u in grid.angles]
+        [A.conj().T @ steering_matrix([u], M, phase_factor)[:, 0] for u in grid.angles]
     )
     for evaluator in ("fft", "direct"):
         Z = grid_correlations(A, grid, evaluator)
@@ -229,7 +241,7 @@ def brute_quadform(H, grid):
     """Per-candidate loop oracle for a(u)^H H a(u)."""
     out = np.empty(grid.N)
     for p in range(grid.N):
-        a = steering_vector(grid.angles[p], grid.M, grid.phase_factor)
+        a = steering_matrix([grid.angles[p]], grid.M, grid.phase_factor)[:, 0]
         out[p] = np.real(a.conj() @ H @ a)
     return out
 
@@ -271,7 +283,7 @@ def test_quadform_rank_one_steering_peak():
     M, N = 12, 128
     grid = make_grid(N, M)
     p0 = 83
-    a0 = steering_vector(grid.angles[p0], M)
+    a0 = steering_matrix([grid.angles[p0]], M)[:, 0]
     vals = quadform_fft(np.outer(a0, a0.conj()), grid)
     assert np.argmax(vals) == p0
     np.testing.assert_allclose(vals[p0], M * M, rtol=1e-12)
@@ -328,7 +340,7 @@ def test_reciprocal_form_saturates_vanishing_denominator():
     M, N = 8, 64
     grid = make_grid(N, M)
     p0 = 20
-    a = steering_vector(grid.angles[p0], M)
+    a = steering_matrix([grid.angles[p0]], M)[:, 0]
     _, Pc = projectors(a.reshape(M, 1))
     _, V = linalg.hermitian_evd(Pc)
     G = V[:, : M - 1]  # orthonormal basis of a's complement
@@ -349,7 +361,7 @@ def test_reciprocal_form_saturation_is_scale_invariant(scale):
     M, N = 8, 64
     grid = make_grid(N, M)
     p0 = 20
-    a = steering_vector(grid.angles[p0], M)
+    a = steering_matrix([grid.angles[p0]], M)[:, 0]
     _, Pc = projectors(a.reshape(M, 1))
     _, V = linalg.hermitian_evd(Pc)
     G = scale * V[:, : M - 1]
@@ -373,7 +385,7 @@ def test_ratio_form_masks_selected_angles():
     M, N = 8, 64
     grid = make_grid(N, M)
     p_sel = 12
-    a_sel = steering_vector(grid.angles[p_sel], M).reshape(M, 1)
+    a_sel = steering_matrix([grid.angles[p_sel]], M)
     _, Pc = projectors(a_sel)
     rng = np.random.default_rng(4)
     num = Pc @ random_complex(rng, M, 3)
@@ -383,7 +395,7 @@ def test_ratio_form_masks_selected_angles():
     assert unmasked.size > 0 and np.all(unmasked >= 0)
     # Hand-check one unmasked ratio.
     p = 40
-    a = steering_vector(grid.angles[p], M)
+    a = steering_matrix([grid.angles[p]], M)[:, 0]
     expect = np.sum(np.abs(num.conj().T @ a) ** 2) / np.sum(np.abs(Pc @ a) ** 2)
     np.testing.assert_allclose(vals[p], expect, rtol=1e-9)
 
@@ -393,7 +405,7 @@ def test_complement_ratio_form():
     grid = make_grid(N, M)
     rng = np.random.default_rng(6)
     p_sel = 50
-    a_sel = steering_vector(grid.angles[p_sel], M).reshape(M, 1)
+    a_sel = steering_matrix([grid.angles[p_sel]], M)
     _, Pc = projectors(a_sel)
     num = Pc @ random_complex(rng, M, 2)
     plain = ratio_form(num, Pc, grid, "ratio")

@@ -19,7 +19,6 @@ from doalab.scenario import (
     ScenarioConfig,
     draw_targets,
     steering_matrix,
-    steering_vector,
     synthesize_observation,
     trial_rng,
 )
@@ -63,7 +62,7 @@ def slow_objective_forms(state, obs, R, sqrt_R, grid):
     obs_form = np.empty(grid.N)
     cov_form = np.empty(grid.N)
     for p in range(grid.N):
-        a = steering_vector(grid.angles[p], grid.M, grid.phase_factor)
+        a = steering_matrix([grid.angles[p]], grid.M, grid.phase_factor)[:, 0]
         obs_form[p] = np.sum(np.abs(Yn.conj().T @ a) ** 2)
         cov_form[p] = (a.conj() @ Rk @ a).real
     sqrt_form = np.sum(
@@ -87,27 +86,51 @@ def test_initial_state_is_identity_projection():
 def test_update_projects_out_selected_steering():
     _, _, sqrt_R, grid = scenario_sqrt(seed=1)
     state = initial_state(sqrt_R, grid)
-    greedy_update(state, grid.angles[40])
-    greedy_update(state, grid.angles[170])
-    assert state.selected == (grid.angles[40], grid.angles[170])
-    A = steering_matrix(state.selected, grid.M)
+    greedy_update(state, 40)
+    greedy_update(state, 170)
+    assert state.selected == (40, 170)
+    A = steering_matrix(grid.angles[list(state.selected)], grid.M)
     assert np.linalg.norm(complement_projector(state) @ A) <= 1e-9 * np.linalg.norm(A)
 
 
 def test_update_rejects_duplicate_angle():
+    # A grid index outside [0, N) is rejected, a negative one included (it
+    # must not wrap around to the grid's end), and so is a repeated index;
+    # a rejected call leaves the state as it was.
     _, _, sqrt_R, grid = scenario_sqrt(seed=2)
     state = initial_state(sqrt_R, grid)
-    greedy_update(state, grid.angles[10])
-    with pytest.raises(ValueError, match="already selected"):
-        greedy_update(state, grid.angles[10])
+    greedy_update(state, 10)
+    res = state.res.copy()
+    for p in (-1, grid.N):
+        with pytest.raises(ValueError, match="out of range"):
+            greedy_update(state, p)
+    for p in (10, np.int64(10)):
+        with pytest.raises(ValueError, match="already selected"):
+            greedy_update(state, p)
+    assert state.selected == (10,)
+    np.testing.assert_array_equal(state.res, res)
+
+
+def test_update_of_a_masked_unselected_point_hits_the_rank_guard():
+    # Four mutually orthogonal grid columns span C^4, so every other grid
+    # point is masked without being selected; adding one must raise the
+    # rank guard's LinAlgError, not the duplicate check's ValueError.
+    rng = np.random.default_rng(0)
+    grid = make_grid(8, 4)
+    state = initial_state(random_complex(rng, 4, 4), grid)
+    for p in (0, 2, 4, 6):
+        greedy_update(state, p)
+    assert state.masked.all()
+    with pytest.raises(np.linalg.LinAlgError, match="rank-deficient"):
+        greedy_update(state, 1)
 
 
 def test_residual_is_recomputable_from_scratch():
     _, _, sqrt_R, grid = scenario_sqrt(seed=3)
     state = initial_state(sqrt_R, grid)
     for p in (25, 90, 200):
-        greedy_update(state, grid.angles[p])
-    A = steering_matrix(state.selected, grid.M)
+        greedy_update(state, p)
+    A = steering_matrix(grid.angles[list(state.selected)], grid.M)
     _, Pc = projectors(A)
     np.testing.assert_allclose(
         residual(state, sqrt_R),
@@ -133,7 +156,7 @@ def test_correlation_objective_forms_agree(seed):
         np.testing.assert_allclose(sqrt_form, cov_form, rtol=0, atol=1e-9 * scale)
         omp = greedy_objective(state, "norm")
         np.testing.assert_allclose(omp, cov_form, rtol=0, atol=1e-9 * scale)
-        greedy_update(state, grid.angles[int(np.argmax(omp))])
+        greedy_update(state, int(np.argmax(omp)))
 
 
 @pytest.mark.parametrize("method", ["omp", "ols"])
@@ -154,7 +177,7 @@ def test_ols_masks_already_selected_candidates():
     state = initial_state(sqrt_R, grid)
     first = greedy_objective(state, "ratio")
     p0 = int(np.argmax(first))
-    greedy_update(state, grid.angles[p0])
+    greedy_update(state, p0)
     second = greedy_objective(state, "ratio")
     assert second[p0] == -np.inf
     assert int(np.argmax(second)) != p0
@@ -247,7 +270,7 @@ def test_ols_slow_projector_oracle_agrees():
         for p in range(grid.N):
             if not np.isfinite(fast[p]):
                 continue
-            cand = state.selected + (grid.angles[p],)
+            cand = grid.angles[list(state.selected) + [p]]
             A = steering_matrix(cand, grid.M)
             try:
                 P, _ = projectors(A)
@@ -255,7 +278,7 @@ def test_ols_slow_projector_oracle_agrees():
                 continue
             captured[p] = float(np.trace(R @ P).real)
         assert int(np.argmax(fast)) == int(np.argmax(captured))
-        greedy_update(state, grid.angles[int(np.argmax(fast))])
+        greedy_update(state, int(np.argmax(fast)))
 
 
 @pytest.mark.parametrize("method", ["omp", "ols"])
@@ -276,7 +299,7 @@ def test_basis_stays_orthonormal_at_k_m_minus_one(method):
         greedy_step(state, METHODS[method].form)
     assert len(set(state.selected)) == M - 1
     assert np.linalg.norm(state.Q.conj().T @ state.Q - np.eye(M - 1)) <= 1e-12
-    A = steering_matrix(state.selected, M)
+    A = steering_matrix(grid.angles[list(state.selected)], M)
     leak = np.linalg.norm(A.conj().T @ residual(state, sqrt_R))
     assert leak <= 1e-12 * np.linalg.norm(A) * np.linalg.norm(sqrt_R)
 
@@ -337,7 +360,7 @@ def check_engine_against_oracle(X, grid, form, evaluator, steps):
         if form == "norm":
             np.testing.assert_allclose(values, ref, rtol=0, atol=1e-9 * ref.max())
         assert int(np.argmax(values)) == int(np.argmax(ref))
-        greedy_update(state, grid.angles[int(np.argmax(values))])
+        greedy_update(state, int(np.argmax(values)))
     assert len(state.selected) == steps
 
 
@@ -381,4 +404,4 @@ def test_engine_selects_what_the_oracle_selects_at_k_15(evaluator):
         for _ in range(15):
             greedy_step(state, "ratio")
         ref = reference_selection(sqrt_R, grid, "ratio", evaluator, 15)
-        assert list(state.selected) == ref, trial
+        assert grid.angles[list(state.selected)].tolist() == ref, trial

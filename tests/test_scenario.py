@@ -19,7 +19,6 @@ from doalab.scenario import (
     draw_targets,
     gram_factor,
     steering_matrix,
-    steering_vector,
     synthesize_observation,
     trial_rng,
 )
@@ -128,9 +127,10 @@ def test_trial_rng_accepts_any_seed_index(seed, trial):
 
 @given(st.floats(-1.0, 1.0), st.integers(2, 64))
 @settings(max_examples=60, deadline=None)
-def test_steering_vector_structure(u, M):
-    a = steering_vector(u, M)
-    assert a.shape == (M,)
+def test_steering_matrix_structure(u, M):
+    A = steering_matrix([u], M)
+    assert A.shape == (M, 1)
+    a = A[:, 0]
     np.testing.assert_allclose(np.abs(a), 1.0, atol=1e-12)
     assert a[0] == 1.0 + 0j
     # Geometric phase progression: a[m+1]/a[m] is constant.
@@ -139,16 +139,16 @@ def test_steering_vector_structure(u, M):
         np.testing.assert_allclose(ratios, ratios[0], atol=1e-12)
 
 
-def test_steering_vector_oracle_values():
-    a = steering_vector(0.5, 4)
+def test_steering_matrix_oracle_values():
+    a = steering_matrix([0.5], 4)[:, 0]
     expected = np.exp(1j * math.pi * 0.5 * np.arange(4))
     np.testing.assert_allclose(a, expected, atol=1e-15)
-    assert steering_vector(0.0, 6) == pytest.approx(np.ones(6))
+    assert steering_matrix([0.0], 6)[:, 0] == pytest.approx(np.ones(6))
 
 
-def test_steering_vector_rejects_out_of_range():
+def test_steering_matrix_rejects_out_of_range():
     with pytest.raises(ValueError):
-        steering_vector(1.5, 8)
+        steering_matrix([1.5], 8)
     with pytest.raises(ValueError):
         steering_matrix([0.0, -1.2], 8)
 
@@ -158,7 +158,7 @@ def test_steering_matrix_stacks_columns():
     A = steering_matrix(us, 10)
     assert A.shape == (10, 3)
     for i, u in enumerate(us):
-        np.testing.assert_allclose(A[:, i], steering_vector(u, 10), atol=1e-15)
+        np.testing.assert_allclose(A[:, i], steering_matrix([u], 10)[:, 0], atol=1e-15)
     assert steering_matrix([], 10).shape == (10, 0)
 
 

@@ -15,7 +15,7 @@ from doalab.methods import METHOD_IDS, estimate_method, pseudospectrum
 from doalab.scenario import (
     GroundTruth,
     ScenarioConfig,
-    steering_vector,
+    steering_matrix,
     synthesize_observation,
     trial_rng,
 )
@@ -232,7 +232,7 @@ def test_single_target_signal_vector_parallels_steering():
     # Noiseless single-target covariance is rank one; its dominant
     # eigenvector must align with the steering direction.
     M = 12
-    a = steering_vector(0.3, M)
+    a = steering_matrix([0.3], M)[:, 0]
     R = np.outer(a, a.conj()) * 2.5
     dec = partition(0.5 * (R + R.conj().T), 1)
     overlap = abs(dec.S[:, 0].conj() @ a) / math.sqrt(M)
@@ -268,7 +268,7 @@ def test_noiseless_nulls_saturate_noise_spectrum():
     M = 8
     grid = make_grid(256, M)
     p0 = 100
-    a = steering_vector(grid.angles[p0], M)
+    a = steering_matrix([grid.angles[p0]], M)[:, 0]
     R = np.outer(a, a.conj())
     dec = partition(0.5 * (R + R.conj().T), 1)
     vals = pseudospectrum(dec, grid, "music-noise").values

@@ -6,7 +6,9 @@
 Compares the ``src`` tree under ``<dir>`` (the parent) with this checkout's
 ``src`` (the change).  Each tree gets one worker process, started with
 ``doalab.pin_blas_threads()`` so BLAS runs at one thread, and only one
-worker runs at a time: the other waits on its pipe.
+worker runs at a time: the other waits on its pipe.  Which worker starts
+first is drawn from the ``--seed`` generator and printed on the seed line,
+so runs at different seeds show whether start order biases the ratios.
 
 Both workers get the same ``INPUTS`` seeded ``draw_covariance`` inputs of
 the campaign-m16 and wide-m64 scenes of ``tools/estimate_digest.py`` (trial
@@ -150,26 +152,29 @@ def main(argv=None) -> int:
     inputs, rounds = (QUICK_INPUTS, 1) if args.quick else (INPUTS, ROUNDS)
     scenes = draw_inputs(args.seed, inputs)
 
+    sides = ("parent", "change")
+    trees = dict(zip(sides, (args.parent.resolve(), ROOT)))
+    order = np.random.default_rng(args.seed)
+    started = [sides[i] for i in order.permutation(len(sides))]
     workers = {}
     try:
-        for side, tree in (("parent", args.parent.resolve()), ("change", ROOT)):
-            workers[side] = Worker(tree, scenes)
+        for side in started:
+            workers[side] = Worker(trees[side], scenes)
         methods = workers["change"].methods
         if workers["parent"].methods != methods:
             parser.error("the two trees have different method ids")
         print(f"parent: {workers['parent'].package}")
         print(f"change: {workers['change'].package}")
         print(
-            f"seed {args.seed}, {inputs} inputs x {rounds} rounds per scene and method, "
+            f"seed {args.seed}, {' then '.join(started)} started, "
+            f"{inputs} inputs x {rounds} rounds per scene and method, "
             f"{EVALUATOR}, true K; ratio = change / parent per call"
         )
-        sides = list(workers)
         for si in range(len(scenes)):  # warm-up: grid and transform caches
             for method in methods:
                 for side in sides:
                     workers[side].call((si, 0, method))
 
-        order = np.random.default_rng(args.seed)
         calls = {}  # (scene, method) -> list of {side: (seconds, result)}
         for _ in range(rounds):
             for si in range(len(scenes)):

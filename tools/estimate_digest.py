@@ -11,7 +11,8 @@ false-alarm rate, Youden J, RMSE, error string and the scene diagnostics.
 Two source trees whose digests match produce bit-identical estimates and
 metric columns on these 4,800 method-trials.  ``--out`` also writes one JSON
 line per method-trial, so two runs can be diffed to find the first
-difference; ``--quick`` runs one trial per scene set.
+difference; ``--quick`` runs one trial per scene set.  BLAS runs at one
+thread (``doalab.pin_blas_threads()``, called before numpy loads).
 """
 
 from __future__ import annotations
@@ -23,9 +24,13 @@ import json
 import sys
 from dataclasses import dataclass
 
-from doalab.bench import EVALUATORS, run_trial
-from doalab.methods import METHOD_IDS
-from doalab.scenario import ScenarioConfig
+import doalab
+
+doalab.pin_blas_threads()  # before numpy loads: one BLAS thread, as the benchmark runs
+
+from doalab.bench import EVALUATORS, run_trial  # noqa: E402
+from doalab.methods import METHOD_IDS  # noqa: E402
+from doalab.scenario import ScenarioConfig  # noqa: E402
 
 SNR_CYCLE_DB = (0.0, 20.0, 40.0)
 M16_SCENE = dict(targets=8, antennas=16, subcarriers=512, symbols=10)
