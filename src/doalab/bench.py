@@ -236,7 +236,7 @@ def run_trial(
     truth = draw_targets(cfg, rng)
     gram = coefficient_gram(truth, cfg)
     R = draw_covariance(truth, gram, cfg, rng)
-    grid = make_grid(cfg.grid_points, cfg.antennas, cfg.element_phase_factor)
+    grid = make_grid(cfg.grid_points, cfg.antennas)
     M = cfg.antennas
     k_by_criterion = model_orders(R, criteria, cfg.targets, cfg.snapshots, grid, evaluator)
 
@@ -255,10 +255,10 @@ def run_trial(
         raw[method] = (k_hat, seconds, est, error)
         assocs[method] = associate(truth.doas, est)
 
-    rmse = rmse_common_hits(assocs, M, cfg.element_phase_factor)
+    rmse = rmse_common_hits(assocs, M)
     outcomes = {}
     for method, (k_hat, seconds, est, error) in raw.items():
-        det = detection_metrics(assocs[method], M, cfg.element_phase_factor)
+        det = detection_metrics(assocs[method], M)
         outcomes[method] = MethodOutcome(
             method=method,
             k_hat=k_hat,
@@ -270,7 +270,7 @@ def run_trial(
             rmse=rmse[method],
             error=error,
         )
-    diag = diagnostics(truth, gram, M, cfg.element_phase_factor)
+    diag = diagnostics(truth, gram, M)
     return TrialResult(
         trial_index=trial_index,
         truth=truth,

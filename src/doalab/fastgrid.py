@@ -6,8 +6,8 @@ norms ``||A^H a(u)||^2`` over the whole grid.  The u-grid is uniform on
 
     exp(j pi u_p m) = (-1)^m exp(j 2 pi p m / N),
 
-a signed inverse-DFT kernel.  That gives two fast routes for a
-half-wavelength ULA, both landing in ascending-angle order:
+a signed inverse-DFT kernel on the package's half-wavelength ULA.  That
+gives two fast routes, both landing in ascending-angle order:
 
 * correlations: the complex values ``A^H a(u)`` themselves, an r x N array
   computed as N/L twiddled inverse FFTs of length L >= M (see
@@ -29,14 +29,13 @@ peaks where the values are large, so it needs no such refinement.  The
 greedy engine's projected steering norms ``||Pc a||^2`` take neither route:
 they start at M and fall by ``|q^H a|^2`` for each new basis column q, from
 that column's correlations (see :mod:`doalab.greedy`).  The direct
-evaluator, and any grid with another phase factor, takes the product with
-the stored steering matrix instead of the FFTs.
+evaluator takes the product with the stored steering matrix instead of the
+FFTs.
 """
 
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -67,13 +66,12 @@ RATIO_FORMS = ("ratio", "complement-ratio")
 
 @dataclass(frozen=True)
 class DoaGrid:
-    """Uniform normalized-angle search grid tied to an array geometry.
+    """Uniform normalized-angle search grid for an M-element array.
 
     Attributes:
         N: Number of grid points.
         angles: The N angles, ascending, angles[p] = -1 + 2 p / N.
         M: Array element count the grid was built for.
-        phase_factor: Element phase factor; the FFT path requires pi.
         steering: Precomputed M x N steering matrix on the grid, used by the
             direct evaluator.
     """
@@ -81,7 +79,6 @@ class DoaGrid:
     N: int
     angles: np.ndarray
     M: int
-    phase_factor: float
     steering: np.ndarray
 
 
@@ -93,16 +90,13 @@ class Pseudospectrum:
     grid: DoaGrid
 
 
-def make_grid(N: int, M: int, phase_factor: float = math.pi) -> DoaGrid:
+def make_grid(N: int, M: int) -> DoaGrid:
     """The N-point search grid for an M-element array, cached and read-only.
 
     Args:
         N: Grid size; must be even and at least 2*M so the array aperture is
             not aliased.
         M: Element count.
-        phase_factor: Phase advance per element per unit u.  The FFT fast
-            path applies only to the half-wavelength value pi; other values
-            are served by the direct evaluator.
 
     Raises:
         ValueError: If N is odd or smaller than 2*M.
@@ -111,16 +105,16 @@ def make_grid(N: int, M: int, phase_factor: float = math.pi) -> DoaGrid:
         raise ValueError(f"grid size {N} must be >= 2*M = {2 * M}")
     if N % 2:
         raise ValueError(f"grid size {N} must be even")
-    return _cached_grid(N, M, phase_factor)
+    return _cached_grid(N, M)
 
 
 @functools.lru_cache(maxsize=8)
-def _cached_grid(N: int, M: int, phase_factor: float) -> DoaGrid:
+def _cached_grid(N: int, M: int) -> DoaGrid:
     angles = -1.0 + 2.0 * np.arange(N) / N
-    steering = steering_matrix(angles, M, phase_factor)
+    steering = steering_matrix(angles, M)
     for arr in (angles, steering):
         arr.flags.writeable = False
-    return DoaGrid(N, angles, M, phase_factor, steering)
+    return DoaGrid(N, angles, M, steering)
 
 
 @functools.lru_cache(maxsize=8)
@@ -174,18 +168,11 @@ def quadform_fft(H: np.ndarray, grid: DoaGrid) -> np.ndarray:
     Args:
         H: Hermitian M x M matrix (e.g. a Gram matrix ``A A^H`` or an
             orthogonal projector).
-        grid: Search grid; must have been built with the half-wavelength
-            phase factor.
+        grid: Search grid.
 
     Returns:
         Length-N real array aligned with ``grid.angles``.
-
-    Raises:
-        ValueError: If the grid uses a non-half-wavelength phase factor,
-            for which the bin identification below does not hold.
     """
-    if grid.phase_factor != math.pi:
-        raise ValueError("quadform_fft requires the half-wavelength grid")
     g = _diag_sums(H)
     M = H.shape[0]
     buf = np.zeros(grid.N, dtype=complex)
@@ -234,12 +221,12 @@ def grid_correlations(A: np.ndarray, grid: DoaGrid, evaluator: str = "fft") -> n
     On the fft path, grid point p = (N/L) t + q gets
     ``sum_m conj(A[m, j]) T[m, q] exp(j 2 pi t m / L)`` (see _split_twiddles):
     for each column, N/L twiddled copies of conj(A[:, j]) take length-L
-    inverse FFTs that land in angle order.  Direct and non-pi grids take the
-    product with the steering.
+    inverse FFTs that land in angle order.  Direct takes the product with the
+    steering.
     """
     if evaluator not in EVALUATORS:
         raise ValueError(f"unknown evaluator: {evaluator!r}")
-    if evaluator == "direct" or grid.phase_factor != math.pi:
+    if evaluator == "direct":
         return A.conj().T @ grid.steering
     M, r = A.shape
     L, T = _split_twiddles(grid.N, M)
@@ -293,9 +280,9 @@ def objective_values(
         evaluator: "fft" or "direct"; both agree to 1e-8 relative.  On the
             fft path both forms take the width-independent quadratic-form
             route, one FFT of the Gram ``num num^H``, and the reciprocal form
-            recomputes its near-null points exactly; direct, and any grid
-            with another phase factor, take the squared columns of
-            grid_correlations, whose cost scales with the operand's width.
+            recomputes its near-null points exactly; direct takes the
+            squared columns of grid_correlations, whose cost scales with the
+            operand's width.
 
     Returns:
         Length-N value array aligned with ``grid.angles``.
@@ -307,7 +294,7 @@ def objective_values(
     check_operand(num, grid)
     if form not in ("norm", "reciprocal"):
         raise ValueError(f"unknown objective form: {form!r}")
-    if evaluator == "fft" and grid.phase_factor == math.pi:
+    if evaluator == "fft":
         values = quadform_fft(num @ num.conj().T, grid)
         if form == "reciprocal":
             _refine_near_nulls(values, num, grid)

@@ -9,9 +9,8 @@ here because a trial's cost matrix has at most a few hundred entries, and
 importing ``scipy.optimize`` for it would cost every process that scores
 trials about 15 MB of memory and 0.2 s of start-up.
 
-Detection scoring classifies matched pairs inside the array's
-main lobe (|du| < 2 pi / (phi M), 2/M at the half-wavelength phase factor
-phi = pi, applied by hit_true_indices alone) as hits;
+Detection scoring classifies matched pairs inside the half-wavelength
+array's main lobe (|du| < 2/M, applied by hit_true_indices alone) as hits;
 everything else an estimator reports counts as a false alarm.  The scene
 diagnostics summarize how diagonal the steering and coefficient Gram
 matrices are — proxies for angular separability and signal decorrelation.
@@ -178,14 +177,11 @@ def _linear_sum_assignment(cost: np.ndarray) -> tuple[list, list]:
     return list(range(nr)), col4row
 
 
-def detection_metrics(
-    assoc: AssociationResult, M: int, phase_factor: float = math.pi
-) -> DetectionMetrics:
+def detection_metrics(assoc: AssociationResult, M: int) -> DetectionMetrics:
     """Score an association as hits and false alarms.
 
     The hits are the pairs :func:`hit_true_indices` counts for an M-element
-    array with element phase factor ``phase_factor``; matched pairs
-    outside the main lobe and unmatched estimates are false alarms.  The hit
+    array; matched pairs outside the main lobe and unmatched estimates are false alarms.  The hit
     rate is normalized by the number of true angles, the false-alarm rate by
     the number of detections the method reported, so a perfect score
     requires zero spurious detections regardless of how many targets exist.
@@ -196,7 +192,7 @@ def detection_metrics(
     targets = len(assoc.pairs) + len(assoc.unmatched_true)
     if targets < 1:
         raise ValueError("association has no true angles")
-    hits = len(hit_true_indices(assoc, M, phase_factor))
+    hits = len(hit_true_indices(assoc, M))
     detections = len(assoc.pairs) + len(assoc.unmatched_est)
     false_alarms = detections - hits
     hit_rate = hits / targets
@@ -210,30 +206,22 @@ def detection_metrics(
     )
 
 
-def hit_true_indices(
-    assoc: AssociationResult, M: int, phase_factor: float = math.pi
-) -> frozenset:
+def hit_true_indices(assoc: AssociationResult, M: int) -> frozenset:
     """True-target indices whose matched error is inside the main lobe.
 
-    The package's one hit rule: |du| < 2 pi / (phase_factor M), the
-    first-null distance of an M-element array whose steering phase advances
-    by ``phase_factor`` u per element; 2/M for the half-wavelength default.
+    The package's one hit rule: |du| < 2/M, the first-null distance of an
+    M-element half-wavelength array.
     """
-    halfwidth = 2.0 / M * (math.pi / phase_factor)
+    halfwidth = 2.0 / M
     return frozenset(t for t, _, d in assoc.pairs if d < halfwidth)
 
 
-def rmse_common_hits(
-    per_method_assocs: Mapping[str, AssociationResult],
-    M: int,
-    phase_factor: float = math.pi,
-) -> dict:
+def rmse_common_hits(per_method_assocs: Mapping[str, AssociationResult], M: int) -> dict:
     """Per-method RMSE restricted to targets every method hit.
 
-    Hits follow :func:`hit_true_indices` with the same M and
-    ``phase_factor``.  Comparing precision only on
-    commonly-hit targets keeps the average from rewarding a method for
-    missing its hardest targets.  When no target is hit by all methods the
+    Hits follow :func:`hit_true_indices` with the same M.  Comparing
+    precision only on commonly-hit targets keeps the average from rewarding
+    a method for missing its hardest targets.  When no target is hit by all methods the
     value is None for every method (callers track that as a coverage
     fraction).
     """
@@ -241,7 +229,7 @@ def rmse_common_hits(
         raise ValueError("need at least one method")
     common = None
     for assoc in per_method_assocs.values():
-        hits = hit_true_indices(assoc, M, phase_factor)
+        hits = hit_true_indices(assoc, M)
         common = hits if common is None else (common & hits)
     if not common:
         return {name: None for name in per_method_assocs}
@@ -277,23 +265,16 @@ def diagonality_score(A: np.ndarray) -> float:
     return float(min(1.0, max(0.0, score)))
 
 
-def diagnostics(
-    truth: GroundTruth,
-    gram: np.ndarray,
-    M: int,
-    phase_factor: float = math.pi,
-) -> DiagnosticMetrics:
+def diagnostics(truth: GroundTruth, gram: np.ndarray, M: int) -> DiagnosticMetrics:
     """Scene-difficulty diagnostics from normalized Gram matrices.
 
     The steering Gram ``A^H A / M`` measures angular separability; the K x K
     coefficient Gram ``gram = C C^H`` (see
     :func:`doalab.scenario.coefficient_gram`) measures how decorrelated the
     per-target signal histories are.  Both are summarized by their
-    diagonality score, which does not depend on the Gram's scale.  ``A``
-    steers the true angles with the array's ``phase_factor`` (default pi, a
-    half-wavelength array).
+    diagonality score, which does not depend on the Gram's scale.
     """
-    A = steering_matrix(truth.doas, M, phase_factor)
+    A = steering_matrix(truth.doas, M)
     T = A.conj().T @ A / M
     return DiagnosticMetrics(
         t_metric=diagonality_score(T), s_metric=diagonality_score(gram)

@@ -1,9 +1,9 @@
 """Synthetic multi-target observations for a uniform linear array.
 
-Models a passive OFDM sensing receiver: an M-element ULA collects D symbols
-by Q subcarriers of narrowband snapshots from K point targets.  Angles are
-kept in the normalized domain u = sin(theta) in [-1, 1) throughout; only the
-I/O layer ever talks degrees.
+Models a passive OFDM sensing receiver: an M-element half-wavelength ULA, the
+package's one geometry, collects D symbols by Q subcarriers of narrowband
+snapshots from K point targets.  Angles are kept in the normalized domain
+u = sin(theta) in [-1, 1) throughout; only the I/O layer ever talks degrees.
 
 Two ways to draw a trial's data share one coefficient model:
 :func:`synthesize_observation` builds the M x L observation itself, while
@@ -50,9 +50,6 @@ class ScenarioConfig:
             MIN_RANGE_M.
         grid_points: Search-grid size N used by the estimators; target draws
             enforce a minimum angular gap of 2/N.
-        element_phase_factor: Phase advance per element index per unit u,
-            in (0, pi]: pi for half-wavelength spacing.  Above pi the
-            steering vectors alias across the u-grid (grating lobes).
         seed: Base seed for all randomness.
     """
 
@@ -65,7 +62,6 @@ class ScenarioConfig:
     subcarrier_spacing_hz: float = 78125.0
     max_range_m: float = 60.0
     grid_points: int = 2048
-    element_phase_factor: float = math.pi
     seed: int = 0
 
     def validate(self) -> None:
@@ -82,8 +78,6 @@ class ScenarioConfig:
             raise ValueError("grid_points must be >= 2 * antennas")
         if self.grid_points % 2:
             raise ValueError("grid_points must be even")
-        if not 0 < self.element_phase_factor <= math.pi:
-            raise ValueError("element_phase_factor must be in (0, pi]")
         for name in ("carrier_freq_hz", "subcarrier_spacing_hz"):
             if not 0 < getattr(self, name) < math.inf:
                 raise ValueError(f"{name} must be finite and > 0")
@@ -153,10 +147,10 @@ def trial_rng(seed: int, trial_index: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(stream))
 
 
-def steering_matrix(us, M: int, phase_factor: float = math.pi) -> np.ndarray:
-    """ULA steering vectors for a sequence of normalized angles, as columns.
+def steering_matrix(us, M: int) -> np.ndarray:
+    """Half-wavelength ULA steering vectors for normalized angles, as columns.
 
-    Entry (m, i) is exp(j * phase_factor * us[i] * m) for m = 0..M-1, so each
+    Entry (m, i) is exp(j * pi * us[i] * m) for m = 0..M-1, so each
     column starts at 1 and has unit-modulus entries.  Column order follows
     the input order; an empty sequence yields an M x 0 matrix.  This is the
     package's one steering builder: the grid's steering table
@@ -168,7 +162,7 @@ def steering_matrix(us, M: int, phase_factor: float = math.pi) -> np.ndarray:
     us = np.asarray(us, dtype=float).reshape(-1)
     if us.size and np.max(np.abs(us)) > 1.0:
         raise ValueError("normalized angle out of range")
-    return np.exp(1j * phase_factor * np.outer(np.arange(M), us))
+    return np.exp(1j * math.pi * np.outer(np.arange(M), us))
 
 
 def draw_targets(cfg: ScenarioConfig, rng: np.random.Generator) -> GroundTruth:
@@ -271,7 +265,7 @@ def synthesize_observation(
 
     noise = _complex_normal(rng, (M, D * Q), truth.noise_variance)
 
-    A = steering_matrix(truth.doas, M, cfg.element_phase_factor)
+    A = steering_matrix(truth.doas, M)
     Y = A @ coeffs
     Y += noise
     return Observation(Y=Y, coeffs=coeffs, truth=truth, noise=noise)
@@ -363,7 +357,7 @@ def draw_covariance(
     one (seed, trial) stream reproduces the covariance bit-for-bit.
     """
     M, L = cfg.antennas, cfg.snapshots
-    A = steering_matrix(truth.doas, M, cfg.element_phase_factor)
+    A = steering_matrix(truth.doas, M)
     gamma = gram_factor(gram, min(gram.shape[0], L))
     sigma2 = truth.noise_variance
     if sigma2 == 0:

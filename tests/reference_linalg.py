@@ -11,8 +11,6 @@ eigendecompositions of re-decomposing iterative-MUSIC schemes.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
@@ -112,7 +110,7 @@ def reference_objective_values(num, grid, form, evaluator="fft", pc=None) -> np.
     if pc is None:
         raise ValueError(f"form {form!r} needs the complement projector")
     M = num.shape[0]
-    quad = evaluator == "fft" and grid.phase_factor == math.pi
+    quad = evaluator == "fft"
     values = colnorms_sq(num, grid, evaluator)
     denom = quadform_fft(pc, grid) if quad else colnorms_sq(pc, grid, evaluator)
     return apply_form(values, form, denom, denom < MASK_RTOL * M)

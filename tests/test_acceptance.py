@@ -162,7 +162,7 @@ def _naive_ols_scores(state, sqrt_R, grid) -> np.ndarray:
     """
     M = complement_projector(state).shape[0]
     if state.selected:
-        A_sel = steering_matrix(grid.angles[list(state.selected)], M, grid.phase_factor)
+        A_sel = steering_matrix(grid.angles[list(state.selected)], M)
     else:
         A_sel = np.empty((M, 0), dtype=complex)
     pc_norms = np.sum(np.abs(complement_projector(state) @ grid.steering) ** 2, axis=0)
@@ -598,10 +598,7 @@ def test_criterion_13_diagnostic_means_grow_with_array_and_bandwidth():
             rng = trial_rng(cfg.seed, t)
             truth = draw_targets(cfg, rng)
             obs = synthesize_observation(truth, cfg, rng)
-            d = diagnostics(
-                truth, obs.coeffs @ obs.coeffs.conj().T, cfg.antennas,
-                cfg.element_phase_factor,
-            )
+            d = diagnostics(truth, obs.coeffs @ obs.coeffs.conj().T, cfg.antennas)
             t_vals.append(d.t_metric)
             s_vals.append(d.s_metric)
         return float(np.mean(t_vals)), float(np.mean(s_vals))

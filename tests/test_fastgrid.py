@@ -77,8 +77,7 @@ def test_make_grid_validation():
 def test_make_grid_is_cached_and_read_only():
     grid = make_grid(128, 8)
     assert make_grid(128, 8) is grid
-    assert make_grid(128, 8, math.pi) is grid
-    assert make_grid(128, 8, phase_factor=2.5) is not grid
+    assert make_grid(256, 8) is not grid
     for arr in (grid.angles, grid.steering):
         with pytest.raises(ValueError, match="read-only"):
             arr[0] = 0
@@ -91,7 +90,7 @@ def brute_colnorms(A, grid):
     """Per-candidate loop oracle for ||A^H a(u)||^2."""
     out = np.empty(grid.N)
     for p in range(grid.N):
-        a = steering_matrix([grid.angles[p]], grid.M, grid.phase_factor)[:, 0]
+        a = steering_matrix([grid.angles[p]], grid.M)[:, 0]
         out[p] = np.sum(np.abs(A.conj().T @ a) ** 2)
     return out
 
@@ -149,15 +148,6 @@ def test_fft_handles_wide_operands():
     )
 
 
-def test_non_halfwavelength_grid_falls_back_to_direct():
-    rng = np.random.default_rng(1)
-    grid = make_grid(64, 8, phase_factor=2.5)
-    A = random_complex(rng, 8, 3)
-    np.testing.assert_array_equal(
-        colnorms_sq(A, grid, "fft"), colnorms_sq(A, grid, "direct")
-    )
-
-
 def test_colnorms_dispatch_and_unknown_evaluator():
     # Column norms are the squared columns of the grid correlations on both
     # evaluators.
@@ -187,17 +177,14 @@ def test_single_steering_column_concentrates_power():
     np.testing.assert_allclose(vals[orth], 0.0, atol=1e-9)
 
 
-@pytest.mark.parametrize("phase_factor", [math.pi, 2.5])
 @pytest.mark.parametrize("M", [8, 6])  # 6 does not divide N: a length-8 split
-def test_grid_correlations_match_brute_force(M, phase_factor):
+def test_grid_correlations_match_brute_force(M):
     # Column p holds A^H a(u_p) in angle order on both evaluators; its squared
     # norm is the column-norm objective.
     rng = np.random.default_rng(3)
-    grid = make_grid(64, M, phase_factor)
+    grid = make_grid(64, M)
     A = random_complex(rng, M, 3)
-    brute = np.stack(
-        [A.conj().T @ steering_matrix([u], M, phase_factor)[:, 0] for u in grid.angles]
-    )
+    brute = np.stack([A.conj().T @ steering_matrix([u], M)[:, 0] for u in grid.angles])
     for evaluator in ("fft", "direct"):
         Z = grid_correlations(A, grid, evaluator)
         assert Z.shape == (3, 64) and Z.flags.c_contiguous
@@ -209,13 +196,12 @@ def test_grid_correlations_match_brute_force(M, phase_factor):
         grid_correlations(A, grid, "clever")
 
 
-@pytest.mark.parametrize("phase_factor", [math.pi, 2.5])
 @pytest.mark.parametrize("evaluator", ["fft", "direct"])
 @pytest.mark.parametrize("r", [1, 5, 16])
-def test_grid_correlations_are_operand_major(r, evaluator, phase_factor):
+def test_grid_correlations_are_operand_major(r, evaluator):
     # r x N, C-contiguous: each operand column's grid correlations are one
     # contiguous row, the layout the greedy engine's rank-one update needs.
-    grid = make_grid(64, 8, phase_factor)
+    grid = make_grid(64, 8)
     A = random_complex(np.random.default_rng(r), 8, r)
     Z = grid_correlations(A, grid, evaluator)
     assert Z.shape == (r, 64) and Z.flags.c_contiguous
@@ -225,10 +211,9 @@ def test_grid_correlations_are_operand_major(r, evaluator, phase_factor):
         )
 
 
-@pytest.mark.parametrize("phase_factor", [math.pi, 2.5])
 @pytest.mark.parametrize("evaluator", ["fft", "direct"])
-def test_zero_width_operand_scores_zero(evaluator, phase_factor):
-    grid = make_grid(64, 8, phase_factor)
+def test_zero_width_operand_scores_zero(evaluator):
+    grid = make_grid(64, 8)
     A = np.empty((8, 0), dtype=complex)
     assert grid_correlations(A, grid, evaluator).shape == (0, 64)
     np.testing.assert_array_equal(colnorms_sq(A, grid, evaluator), np.zeros(64))
@@ -241,7 +226,7 @@ def brute_quadform(H, grid):
     """Per-candidate loop oracle for a(u)^H H a(u)."""
     out = np.empty(grid.N)
     for p in range(grid.N):
-        a = steering_matrix([grid.angles[p]], grid.M, grid.phase_factor)[:, 0]
+        a = steering_matrix([grid.angles[p]], grid.M)[:, 0]
         out[p] = np.real(a.conj() @ H @ a)
     return out
 
@@ -301,12 +286,6 @@ def test_diag_sums_match_two_bincounts(M):
     np.testing.assert_array_equal(fastgrid._diag_sums(H), re[M - 1 :] + 1j * im[M - 1 :])
 
 
-def test_quadform_rejects_non_halfwavelength_grid():
-    grid = make_grid(64, 8, phase_factor=2.0)
-    with pytest.raises(ValueError, match="half-wavelength"):
-        quadform_fft(np.eye(8, dtype=complex), grid)
-
-
 # ---------------------------------------------------------------- objectives
 
 
@@ -328,10 +307,10 @@ def test_fft_norm_form_is_one_quadratic_form(r):
 def test_norm_form_off_the_fft_path_is_colnorms_sq():
     rng = np.random.default_rng(3)
     A = random_complex(rng, 8, 3)
-    for grid, evaluator in ((make_grid(64, 8), "direct"), (make_grid(64, 8, 2.0), "fft")):
-        np.testing.assert_array_equal(
-            objective_values(A, grid, "norm", evaluator), colnorms_sq(A, grid, evaluator)
-        )
+    grid = make_grid(64, 8)
+    np.testing.assert_array_equal(
+        objective_values(A, grid, "norm", "direct"), colnorms_sq(A, grid, "direct")
+    )
 
 
 def test_reciprocal_form_saturates_vanishing_denominator():

@@ -62,7 +62,7 @@ def slow_objective_forms(state, obs, R, sqrt_R, grid):
     obs_form = np.empty(grid.N)
     cov_form = np.empty(grid.N)
     for p in range(grid.N):
-        a = steering_matrix([grid.angles[p]], grid.M, grid.phase_factor)[:, 0]
+        a = steering_matrix([grid.angles[p]], grid.M)[:, 0]
         obs_form[p] = np.sum(np.abs(Yn.conj().T @ a) ** 2)
         cov_form[p] = (a.conj() @ Rk @ a).real
     sqrt_form = np.sum(
@@ -322,7 +322,7 @@ def reference_scores(selected, X, grid, form, evaluator):
     """From-scratch scores: basis by Householder QR of the selected steering
     vectors, then the residual, the projector and one reference_objective_values
     call."""
-    A = steering_matrix(selected, grid.M, grid.phase_factor)
+    A = steering_matrix(selected, grid.M)
     Q = np.linalg.qr(A)[0] if selected else A
     res = X - Q @ (Q.conj().T @ X)
     pc = np.eye(grid.M) - Q @ Q.conj().T

@@ -264,23 +264,6 @@ def test_hit_threshold_is_strict():
     assert at_threshold.hits == 0
 
 
-def test_hit_rule_widens_with_the_main_lobe_of_a_smaller_phase_factor():
-    # The main lobe of an M-element array with phase factor phi reaches
-    # 2 pi / (phi M): |du| = 0.3 at M = 8 is past 2/M = 0.25 at phi = pi
-    # but inside 0.785 at phi = 1.0.
-    assoc = associate([0.0, 0.5], [0.3, 0.5])
-    assert hit_true_indices(assoc, 8) == frozenset({1})
-    assert hit_true_indices(assoc, 8, math.pi) == frozenset({1})
-    assert hit_true_indices(assoc, 8, 1.0) == frozenset({0, 1})
-    assert detection_metrics(assoc, 8).youden_j == 0.0
-    assert detection_metrics(assoc, 8, 1.0).youden_j == 1.0
-    assocs = {"a": assoc, "b": associate([0.0, 0.5], [0.0, 0.5])}
-    assert rmse_common_hits(assocs, 8) == {"a": 0.0, "b": 0.0}
-    assert rmse_common_hits(assocs, 8, 1.0) == pytest.approx(
-        {"a": 0.3 / math.sqrt(2), "b": 0.0}
-    )
-
-
 def test_missed_targets_lower_hit_rate_without_fa():
     # Estimator reports fewer estimates than targets, all accurate.
     det = detection_metrics(associate([0.0, 0.5, -0.5], [0.0]), M=16)
@@ -426,20 +409,3 @@ def test_diagnostics_single_target_is_trivially_diagonal():
     obs = synthesize_observation(truth, cfg, rng)
     diag = diagnostics(truth, obs.coeffs @ obs.coeffs.conj().T, 8)
     assert diag.t_metric == 1.0 and diag.s_metric == 1.0
-
-
-def test_diagnostics_honors_phase_factor():
-    truth = GroundTruth(
-        doas=np.array([-0.5, 0.25]),
-        ranges=np.array([1e-7, 2e-7]),
-        dopplers=np.zeros(2),
-        amplitudes=np.ones(2, dtype=complex),
-        noise_variance=0.0,
-    )
-    cfg = ScenarioConfig(
-        targets=2, antennas=8, subcarriers=16, symbols=2, grid_points=256, seed=2
-    )
-    obs = synthesize_observation(truth, cfg, trial_rng(0, 0))
-    default = diagnostics(truth, obs.coeffs @ obs.coeffs.conj().T, 8)
-    stretched = diagnostics(truth, obs.coeffs @ obs.coeffs.conj().T, 8, phase_factor=1.0)
-    assert default.t_metric != stretched.t_metric

@@ -70,12 +70,6 @@ def test_config_rejects_bad_values(overrides):
     "overrides,message",
     [
         (dict(grid_points=257), "even"),
-        (dict(element_phase_factor=math.inf), "element_phase_factor"),
-        (dict(element_phase_factor=math.nan), "element_phase_factor"),
-        (dict(element_phase_factor=0.0), "element_phase_factor"),
-        (dict(element_phase_factor=-math.pi), "element_phase_factor"),
-        (dict(element_phase_factor=3.5), "element_phase_factor"),
-        (dict(element_phase_factor=4.0), "element_phase_factor"),
         (dict(subcarrier_spacing_hz=0.0), "subcarrier_spacing_hz"),
         (dict(subcarrier_spacing_hz=-78125.0), "subcarrier_spacing_hz"),
         (dict(subcarrier_spacing_hz=math.inf), "subcarrier_spacing_hz"),
@@ -162,11 +156,6 @@ def test_steering_matrix_stacks_columns():
     assert steering_matrix([], 10).shape == (10, 0)
 
 
-def test_steering_matrix_honors_phase_factor():
-    A = steering_matrix([0.25], 8, phase_factor=2.0)
-    np.testing.assert_allclose(A[:, 0], np.exp(1j * 0.5 * np.arange(8)), atol=1e-15)
-
-
 def test_orthogonal_spacing_gives_orthogonal_columns():
     # Angles spaced by exact multiples of 2/M have exactly orthogonal
     # steering vectors (DFT columns).
@@ -234,7 +223,7 @@ def test_observation_shapes_and_recombination():
     assert obs.Y.shape == (cfg.antennas, L)
     assert obs.coeffs.shape == (cfg.targets, L)
     assert obs.noise.shape == (cfg.antennas, L)
-    A = steering_matrix(truth.doas, cfg.antennas, cfg.element_phase_factor)
+    A = steering_matrix(truth.doas, cfg.antennas)
     np.testing.assert_array_equal(obs.Y, A @ obs.coeffs + obs.noise)
 
 
@@ -405,7 +394,7 @@ def test_covariance_formula_reproduces_the_explicit_sample_covariance(K, M, D, Q
     assert rel_err(gamma @ B, C) < 1e-12
     N1, N2 = N @ B.conj().T, N @ B_perp.conj().T
     assert rel_err(N1 @ B + N2 @ B_perp, N) < 1e-12
-    A = steering_matrix(truth.doas, M, cfg.element_phase_factor)
+    A = steering_matrix(truth.doas, M)
     R = covariance_from_parts(A, gamma, N1, N2 @ N2.conj().T, L)
     assert rel_err(R, sample_covariance(obs.Y)) < 1e-12
     np.testing.assert_array_equal(R, R.conj().T)
@@ -448,7 +437,7 @@ def test_noiseless_draw_is_the_signal_covariance(K, M, D, Q):
     state = rng.bit_generator.state
     R = draw_covariance(truth, gram, cfg, rng)
     assert rng.bit_generator.state == state  # nothing drawn
-    A = steering_matrix(truth.doas, M, cfg.element_phase_factor)
+    A = steering_matrix(truth.doas, M)
     assert rel_err(R, A @ gram @ A.conj().T / cfg.snapshots) < 1e-12
 
 
@@ -481,7 +470,7 @@ def test_covariance_draw_mean_is_the_model_covariance(K, M, D, Q):
     rng = np.random.default_rng(8)
     draws = 3000
     mean = sum(draw_covariance(truth, gram, cfg, rng) for _ in range(draws)) / draws
-    A = steering_matrix(truth.doas, M, cfg.element_phase_factor)
+    A = steering_matrix(truth.doas, M)
     L, sigma2 = cfg.snapshots, truth.noise_variance
     model = A @ gram @ A.conj().T / L + sigma2 * np.eye(M)
     # Each entry's sd is at most sqrt(R_ii R_jj / L); 5 standard errors.

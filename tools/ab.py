@@ -74,7 +74,7 @@ def draw_inputs(seed: int, inputs: int) -> list:
             rng = trial_rng(cfg.seed, t)
             truth = draw_targets(cfg, rng)
             covariances.append(draw_covariance(truth, coefficient_gram(truth, cfg), cfg, rng))
-        grid_args = (cfg.grid_points, cfg.antennas, cfg.element_phase_factor)
+        grid_args = (cfg.grid_points, cfg.antennas)
         out.append((name, cfg.targets, grid_args, covariances))
     return out
 
