@@ -108,8 +108,9 @@ def partition(R: np.ndarray, K: int) -> SubspaceDecomposition:
 def select_peak_indices(values: np.ndarray, K: int) -> np.ndarray:
     """Indices of the K largest strict local maxima of a grid function.
 
-    A point qualifies when it beats both neighbors (endpoints compare
-    against their single neighbor; the grid is not treated as circular).
+    A point qualifies when it beats both neighbors.  The half-wavelength
+    u-grid is a circle, a(-1) = a(+1), so the first and last points are
+    each other's neighbors.
     When fewer than K strict maxima exist, the largest remaining non-peak
     values fill the quota.  The result is ordered by descending value with
     ties broken toward the lower grid index.
@@ -122,8 +123,8 @@ def select_peak_indices(values: np.ndarray, K: int) -> np.ndarray:
     if n == 1:
         peak[0] = True
     else:
-        peak[0] = v[0] > v[1]
-        peak[-1] = v[-1] > v[-2]
+        peak[0] = v[0] > v[1] and v[0] > v[-1]
+        peak[-1] = v[-1] > v[-2] and v[-1] > v[0]
         if n > 2:
             peak[1:-1] = (v[1:-1] > v[:-2]) & (v[1:-1] > v[2:])
     peaks = np.flatnonzero(peak)

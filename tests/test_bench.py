@@ -33,17 +33,19 @@ from doalab.bench import (
 )
 from doalab.cli import main
 from doalab.config import ConfigError, parse_config
-from doalab.fastgrid import make_grid
+from doalab.fastgrid import make_grid, objective_values
 from doalab.linalg import hermitian_evd
 from doalab.methods import METHOD_IDS, estimate_method
 from doalab.scenario import (
     ScenarioConfig,
+    coefficient_gram,
+    draw_covariance,
     draw_targets,
     steering_matrix,
     synthesize_observation,
     trial_rng,
 )
-from doalab.subspace import sample_covariance
+from doalab.subspace import partition, sample_covariance
 
 
 def small_cfg(**overrides):
@@ -185,6 +187,63 @@ def test_zero_covariance_yields_distinct_grid_angles(method, evaluator):
     est = estimate_method(method, np.zeros((8, 8), dtype=complex), 3, grid, evaluator)
     assert est.size == 3 and len(set(est)) == 3
     assert np.isin(est, grid.angles).all()
+
+
+def default_scene_covariance(trial: int) -> np.ndarray:
+    """The default scene's trial covariance, drawn as run_trial draws it."""
+    cfg = ScenarioConfig()
+    rng = trial_rng(1, trial)
+    truth = draw_targets(cfg, rng)
+    return draw_covariance(truth, coefficient_gram(truth, cfg), cfg, rng)
+
+
+def grid_indices(est: np.ndarray, N: int) -> np.ndarray:
+    return np.rint((est + 1.0) * N / 2).astype(int) % N
+
+
+@pytest.mark.parametrize("evaluator", ["fft", "direct"])
+def test_spectral_peaks_wrap_at_the_grid_ends(evaluator):
+    # The peak at index 1947 has a main lobe 128 cells wide, so its skirt
+    # crosses u = +-1 and index 0 beats its right neighbor.  Index 0 is no
+    # peak, because a(-1) = a(+1) makes index N-1 its left neighbor.
+    cfg = ScenarioConfig()
+    grid = make_grid(cfg.grid_points, cfg.antennas)
+    R = default_scene_covariance(0)
+    est = estimate_method("music-signal", R, cfg.targets, grid, evaluator)
+    picks = grid_indices(est, grid.N)
+    assert 1947 in picks and 0 not in picks
+    v = objective_values(partition(R, cfg.targets).S, grid, "norm", evaluator)
+    assert all(v[p] > v[p - 1] and v[p] > v[(p + 1) % grid.N] for p in picks)
+
+
+@pytest.fixture(scope="module")
+def equivariance_scenes():
+    """(R, s) for 24 default-scene trials, each with a seeded grid shift s."""
+    shifts = np.random.default_rng(7).integers(1, ScenarioConfig().grid_points, 24)
+    return [(default_scene_covariance(t), int(s)) for t, s in enumerate(shifts)]
+
+
+@pytest.mark.parametrize("evaluator", ["fft", "direct"])
+@pytest.mark.parametrize("method", METHOD_IDS)
+def test_estimates_shift_and_mirror_with_the_scene(equivariance_scenes, method, evaluator):
+    # D = diag(exp(j pi (2s/N) m)) steers a(u) to a(u + 2s/N): D R D^H is
+    # the scene moved s grid cells around the circle, p -> p + s mod N.
+    # conj(a(u)) = a(-u): conj(R) is the scene mirrored, p -> N - p mod N.
+    cfg = ScenarioConfig()
+    N, M, K = cfg.grid_points, cfg.antennas, cfg.targets
+    grid = make_grid(N, M)
+    for R, s in equivariance_scenes:
+        picks = np.sort(grid_indices(estimate_method(method, R, K, grid, evaluator), N))
+        d = np.exp(1j * np.pi * (2.0 * s / N) * np.arange(M))
+        shifted = d[:, None] * R * d.conj()[None, :]
+        est = estimate_method(method, 0.5 * (shifted + shifted.conj().T), K, grid, evaluator)
+        np.testing.assert_array_equal(
+            np.sort(grid_indices(est, N)), np.sort((picks + s) % N), err_msg=f"shift {s}"
+        )
+        est = estimate_method(method, R.conj(), K, grid, evaluator)
+        np.testing.assert_array_equal(
+            np.sort(grid_indices(est, N)), np.sort((N - picks) % N), err_msg="mirror"
+        )
 
 
 CONTRACT_CASES = ("scaled", "k-max", "low-rank", "zero", "coincident")

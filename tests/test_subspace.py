@@ -172,10 +172,19 @@ def test_pseudospectrum_rejects_unknown_variant():
 def test_select_peaks_hand_cases():
     v = np.array([0.0, 3.0, 1.0, 5.0, 2.0, 2.0, 4.0])
     # Strict local maxima: index 1 (3>0,3>1), index 3 (5>1,5>2), index 6
-    # (4>2, right endpoint).  The plateau at 4,5 produces no peak.
+    # (4>2, and 4>0 across the wrap).  The plateau at 4,5 produces no peak.
     np.testing.assert_array_equal(select_peak_indices(v, 3), [3, 6, 1])
     np.testing.assert_array_equal(select_peak_indices(v, 2), [3, 6])
     np.testing.assert_array_equal(select_peak_indices(v, 1), [3])
+
+
+def test_select_peaks_wrap_around_the_grid_ends():
+    # The u-grid is a circle: index 0 (3.0) beats index 1 but not its other
+    # neighbor, index 4 (4.0), so it is a skirt point, not a peak, and the
+    # interior peak at index 2 outranks it.
+    v = np.array([3.0, 1.0, 2.0, 0.0, 4.0])
+    np.testing.assert_array_equal(select_peak_indices(v, 2), [4, 2])
+    np.testing.assert_array_equal(select_peak_indices(v[::-1], 2), [0, 2])
 
 
 def test_select_peaks_fills_from_non_peaks():
