@@ -124,8 +124,11 @@ def estimate_method(
         peak value for spectral ones).  Greedy iterations pass over the
         selected and degenerate candidates in every objective form (see
         :func:`doalab.greedy.greedy_step`), so a degenerate covariance still
-        yields K distinct angles: with R = 0 every score ties at zero and
-        the lowest grid indices not yet selected are picked.
+        yields K distinct angles.  With R = 0 the weighted and square-root
+        operands vanish, every score ties at zero and the lowest grid
+        indices not yet selected are picked; the unweighted subspace rows
+        (``music-*``, ``omp-imusic``, ``ols-imusic``) score an arbitrary
+        orthonormal eigenbasis instead, so their K angles are unspecified.
 
     Raises:
         ValueError: On an unknown method id or K outside 0 <= K < M.

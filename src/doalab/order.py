@@ -106,7 +106,8 @@ def hybrid_order(
     (OLS).  The first ``k_floor`` angles are added unconditionally (the
     eigenvalue estimate is trusted as a floor); each further angle, up to
     M-1, is kept only while :func:`penalized_residual_criterion` decreases.
-    The result therefore lies in ``[k_floor, M-1]``.
+    The result therefore lies in ``[k_floor, M-1]``.  A zero covariance
+    takes the residual ratio at its floor, so the search stops at k_floor.
 
     Args:
         sqrt_R: M x M covariance square root: the OLS operand and the
@@ -125,7 +126,8 @@ def hybrid_order(
 
     def criterion_at(k):
         res = state.res
-        eps = max(float(np.sum(res.real**2 + res.imag**2)) / trace_R, _EPS_FLOOR)
+        energy = float(np.sum(res.real**2 + res.imag**2))
+        eps = max(energy / trace_R if trace_R else 0.0, _EPS_FLOOR)
         return penalized_residual_criterion(k, eps, M, snapshots)
 
     curve = np.full(M, np.nan)

@@ -181,12 +181,30 @@ def test_estimates_do_not_depend_on_covariance_scale(campaign_scene, method, eva
 @pytest.mark.parametrize("evaluator", ["fft", "direct"])
 @pytest.mark.parametrize("method", METHOD_IDS)
 def test_zero_covariance_yields_distinct_grid_angles(method, evaluator):
-    # R = 0 scores every candidate zero; greedy norm forms must still pass
-    # over the angles already selected instead of picking grid point 0 again.
+    # R = 0 leaves every score tied or degenerate; greedy norm forms must still
+    # pass over the angles already selected instead of picking grid point 0 again.
     grid = make_grid(256, 8)
     est = estimate_method(method, np.zeros((8, 8), dtype=complex), 3, grid, evaluator)
     assert est.size == 3 and len(set(est)) == 3
     assert np.isin(est, grid.angles).all()
+
+
+# Rows whose operand vanishes at R = 0, so every score ties at zero.  The
+# music rows score an eigenbasis of identity columns, ||S^H a||^2 = K, which
+# ties exactly only in the fft path's quadratic form.
+ZERO_OPERAND_ROWS = ("wmusic-signal", "wmusic-noise", "omp", "ols", "omp-iwmusic", "ols-iwmusic")
+TIED_AT_ZERO = [(m, e) for m in ZERO_OPERAND_ROWS for e in ("fft", "direct")] + [
+    ("music-signal", "fft"),
+    ("music-noise", "fft"),
+]
+
+
+@pytest.mark.parametrize("K", [3, 6])
+@pytest.mark.parametrize("method,evaluator", TIED_AT_ZERO)
+def test_zero_covariance_ties_pick_the_lowest_grid_angles(method, evaluator, K):
+    grid = make_grid(64, 8)
+    est = estimate_method(method, np.zeros((8, 8), dtype=complex), K, grid, evaluator)
+    np.testing.assert_array_equal(est, grid.angles[:K])
 
 
 def default_scene_covariance(trial: int) -> np.ndarray:

@@ -237,6 +237,17 @@ def test_hybrid_argument_validation():
             hybrid_order(sqrt_R, grid, k_floor=k_floor, snapshots=128)
 
 
+@pytest.mark.parametrize("evaluator", ["fft", "direct"])
+def test_hybrid_on_a_zero_covariance_stops_at_its_floor(evaluator):
+    # A zero trace leaves no residual ratio to take: it sits at its floor,
+    # so every pick past k_floor only adds penalty.
+    grid = make_grid(64, 8)
+    zeros = np.zeros((8, 8), dtype=complex)
+    for k_floor in (0, 3, 7):
+        assert hybrid_order(zeros, grid, k_floor, 100, evaluator).k_hat == k_floor
+    assert model_orders(zeros, ("hybrid",), 3, 100, grid, evaluator)["hybrid"] == 0
+
+
 @pytest.mark.xfail(
     strict=True,
     raises=AssertionError,
