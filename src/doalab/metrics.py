@@ -181,10 +181,11 @@ def detection_metrics(assoc: AssociationResult, M: int) -> DetectionMetrics:
     """Score an association as hits and false alarms.
 
     The hits are the pairs :func:`hit_true_indices` counts for an M-element
-    array; matched pairs outside the main lobe and unmatched estimates are false alarms.  The hit
-    rate is normalized by the number of true angles, the false-alarm rate by
-    the number of detections the method reported, so a perfect score
-    requires zero spurious detections regardless of how many targets exist.
+    array; matched pairs outside the main lobe and unmatched estimates are
+    false alarms.  The hit rate is normalized by the number of true angles,
+    the false-alarm rate by the number of detections the method reported, so
+    a perfect score requires zero spurious detections regardless of how many
+    targets exist.
 
     Raises:
         ValueError: If the association has no true angles.
@@ -221,9 +222,9 @@ def rmse_common_hits(per_method_assocs: Mapping[str, AssociationResult], M: int)
 
     Hits follow :func:`hit_true_indices` with the same M.  Comparing
     precision only on commonly-hit targets keeps the average from rewarding
-    a method for missing its hardest targets.  When no target is hit by all methods the
-    value is None for every method (callers track that as a coverage
-    fraction).
+    a method for missing its hardest targets.  When no target is hit by all
+    methods the value is None for every method (callers track that as a
+    coverage fraction).
     """
     if not per_method_assocs:
         raise ValueError("need at least one method")

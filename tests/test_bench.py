@@ -216,7 +216,7 @@ def default_scene_covariance(trial: int) -> np.ndarray:
 
 
 def grid_indices(est: np.ndarray, N: int) -> np.ndarray:
-    return np.rint((est + 1.0) * N / 2).astype(int) % N
+    return np.rint((est + 1.0) * N / 2).astype(int)
 
 
 @pytest.mark.parametrize("evaluator", ["fft", "direct"])
@@ -253,8 +253,7 @@ def test_estimates_shift_and_mirror_with_the_scene(equivariance_scenes, method, 
     for R, s in equivariance_scenes:
         picks = np.sort(grid_indices(estimate_method(method, R, K, grid, evaluator), N))
         d = np.exp(1j * np.pi * (2.0 * s / N) * np.arange(M))
-        shifted = d[:, None] * R * d.conj()[None, :]
-        est = estimate_method(method, 0.5 * (shifted + shifted.conj().T), K, grid, evaluator)
+        est = estimate_method(method, d[:, None] * R * d.conj(), K, grid, evaluator)
         np.testing.assert_array_equal(
             np.sort(grid_indices(est, N)), np.sort((picks + s) % N), err_msg=f"shift {s}"
         )
