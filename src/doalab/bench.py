@@ -12,11 +12,8 @@ scoring stay outside the clock.
 Per-trial randomness comes from independent streams derived from the base
 seed and the trial index, so metric columns are bit-reproducible for a given
 spec and adding trials never perturbs earlier ones, whichever process runs
-a trial.  A pooled sweep starts its child processes with the platform's
-default method (fork on Linux before Python 3.14, spawn on macOS and
-Windows); a forked child inherits the caller's modules, grid cache and BLAS
-thread count, so pin BLAS before numpy loads, as ``doalab sweep`` does, for
-every process to be single-threaded.
+a trial: the caller, or a child process of a pooled sweep (see
+:func:`run_sweep` for how the children start and pin BLAS).
 """
 
 from __future__ import annotations
@@ -25,7 +22,7 @@ import csv
 import math
 import os
 import sys
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields, replace
 from time import perf_counter
 from typing import get_type_hints
@@ -58,12 +55,9 @@ SWEEP_PARAMETERS = ("snr_db", "targets", "subcarriers", "antennas")
 FAILURE_WARN_FRACTION = 0.05
 # Fraction of timings dropped from each end before averaging mean_time_ms.
 TRIM_FRACTION = 0.05
-# Trials per chunk handed to a child process (started with the platform's
-# default method), and chunks a child may hold at once: enough to keep it
-# busy between the caller's own trials, few enough that the caller's shared
-# cursor takes the rest.
+# Trials per chunk handed to a child process in a pooled sweep: few, so the
+# last chunks leave no child idle for long.
 CHUNK_TRIALS = 2
-CHUNKS_PER_CHILD = 2
 
 _SCENARIO_TYPES = get_type_hints(ScenarioConfig)
 
@@ -284,55 +278,32 @@ def _apply_sweep_value(base: ScenarioConfig, parameter: str, value) -> ScenarioC
     return replace(base, **{parameter: _SCENARIO_TYPES[parameter](value)})
 
 
-def _run_chunk(tasks):
-    return [run_trial(*task) for task in tasks]
-
-
 def _run_tasks(tasks: list, processes: int) -> list:
     """``run_trial`` over every task on ``processes`` processes, in task order.
 
-    The calling process runs trials one at a time from a shared cursor while
-    ``processes - 1`` children are fed CHUNK_TRIALS-trial chunks from the
-    same cursor, at most CHUNKS_PER_CHILD outstanding per child, so nobody
-    idles while trials remain and no child starts for a single process.
-    The children start with the platform's default method.  A forked child
-    (Linux before Python 3.14) runs its first chunk at once, with the
-    caller's modules, grid cache and BLAS thread count; a spawned one
-    imports doalab first, and its BLAS loads with the thread variables
-    :func:`doalab.pin_blas_threads` pins here (it leaves variables the
-    caller set alone, and they stay set in the caller's environment).
-    Results are stored by task index.  On a normal return the pool is shut
-    down and waited for, so no child or pool thread outlives the call and a
-    later sweep never forks beside a live pool thread.  On any exception the
-    chunks not yet started are cancelled and the exception is re-raised
-    without waiting for the children's current chunks, which finish in the
-    background, reaped by the pool's own thread.
+    Fewer than two tasks or processes run in-process and start no pool;
+    otherwise ``min(processes, len(tasks))`` children, started with the
+    platform's default method, run CHUNK_TRIALS-trial chunks while the
+    caller hands them out and gathers the results.  A spawned child's BLAS
+    loads with the thread variables :func:`doalab.pin_blas_threads` pins
+    here (it leaves variables the caller set alone, and they stay set in
+    the caller's environment).  A normal return waits for the pool, so no
+    child or pool thread outlives the call and a later sweep never forks
+    beside a live pool thread.  On any exception the chunks not yet started
+    are cancelled and the exception is re-raised without waiting for the
+    children's current chunks, which the pool's own thread reaps.
     """
-    results, pending, cursor = [None] * len(tasks), {}, 0
-    children = min(processes, len(tasks)) - 1
-    if children:
-        pin_blas_threads()
-    pool = ProcessPoolExecutor(children) if children else None
+    processes = min(processes, len(tasks))
+    if processes < 2:
+        return [run_trial(*task) for task in tasks]
+    pin_blas_threads()
+    pool = ProcessPoolExecutor(processes)
     try:
-        while cursor < len(tasks) or pending:
-            while cursor < len(tasks) and len(pending) < CHUNKS_PER_CHILD * children:
-                chunk = tasks[cursor : cursor + CHUNK_TRIALS]
-                pending[pool.submit(_run_chunk, chunk)] = cursor  # its first task's index
-                cursor += len(chunk)
-            for future in [f for f in pending if f.done()]:
-                start, chunk = pending.pop(future), future.result()
-                results[start : start + len(chunk)] = chunk
-            if cursor < len(tasks):
-                results[cursor] = run_trial(*tasks[cursor])
-                cursor += 1
-            elif pending:
-                wait(pending, return_when=FIRST_COMPLETED)
-    except BaseException:
-        if pool:  # cancels what is left; never waits on a child
-            pool.shutdown(wait=False, cancel_futures=True)
+        results = list(pool.map(run_trial, *zip(*tasks), chunksize=CHUNK_TRIALS))
+    except BaseException:  # cancels what is left; never waits on a child
+        pool.shutdown(wait=False, cancel_futures=True)
         raise
-    if pool:
-        pool.shutdown()
+    pool.shutdown()
     return results
 
 
@@ -345,6 +316,8 @@ def trimmed_mean(values) -> float:
 
 
 def _worker_count(workers: int | None) -> int:
+    """Processes that run a pooled sweep's trials: ``workers``, else
+    DOALAB_THREADS, else the CPUs this process may run on; at least 1."""
     if workers is not None:
         return max(1, workers)
     env = os.environ.get("DOALAB_THREADS", "")
@@ -365,20 +338,20 @@ def run_sweep(
 ) -> ResultTable:
     """Run a full sweep and aggregate per-(value, method) rows.
 
-    Trials run on ``workers`` processes, the calling process included: it
-    runs trials itself beside ``workers - 1`` child processes, started with
-    the platform's default method (fork on Linux before Python 3.14, spawn
-    on macOS and Windows).  The count comes from ``workers``, the
-    DOALAB_THREADS environment variable, or the number of CPUs this process
-    may run on; ``serial=True`` (like a count of 1) keeps every trial
-    in-process and starts no child, for clean timing.  A forked child
-    inherits the caller's modules, grid cache and BLAS thread count; a
-    spawned child runs with BLAS pinned to one thread unless the caller set
-    the thread variables itself.  A loaded BLAS cannot be re-pinned, so
-    pin the caller before importing numpy (``doalab sweep`` does) for
-    every process to be single-threaded.  No child outlives a normal
-    return.  Metric columns depend only on the spec and seed; timing
-    columns depend on the machine.
+    Trials run on ``workers`` child processes, started with the platform's
+    default method (fork on Linux before Python 3.14, spawn on macOS and
+    Windows); the calling process hands out chunks of trials and gathers
+    the results.  The count comes from ``workers``, the DOALAB_THREADS
+    environment variable, or the number of CPUs this process may run on,
+    and is capped at the sweep's trial total; ``serial=True`` (like a count
+    of 1 or a single trial) keeps every trial in-process and starts no
+    child, for clean timing.  A forked child inherits the caller's modules, grid cache
+    and BLAS thread count; a spawned child runs with BLAS pinned to one
+    thread unless the caller set the thread variables itself.  A loaded
+    BLAS cannot be re-pinned, so pin the caller before importing numpy
+    (``doalab sweep`` does) for every process to be single-threaded.  No
+    child outlives a normal return.  Metric columns depend only on the spec
+    and seed; timing columns depend on the machine.
 
     Per-method trial failures are excluded from that method's aggregates; a
     sweep point where more than 5% of a method's trials failed is reported

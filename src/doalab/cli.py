@@ -5,12 +5,12 @@ Exit codes: 0 on success, 1 on configuration errors, 2 on I/O errors.
 BLAS thread-count environment variables are pinned to 1 (unless the user
 already set them) before numpy loads, so each trial is internally
 single-threaded and timing columns are stable; use DOALAB_THREADS to control
-trial-level parallelism instead.  It counts the processes that run trials,
-the calling process included, so a sweep starts DOALAB_THREADS - 1 children
-(by default, one fewer than the CPUs this process may run on).  They start
-with the platform's default method: forked (Linux before Python 3.14), they
-inherit this process's modules and pinned BLAS; spawned (macOS, Windows),
-they load numpy with the pinned variables.
+trial-level parallelism instead.  It counts the child processes that run
+trials (by default, the CPUs this process may run on; 1 starts none), and
+this process hands them chunks of trials and gathers the results.  They
+start with the platform's default method: forked (Linux before Python
+3.14), they inherit this process's modules and pinned BLAS; spawned (macOS,
+Windows), they load numpy with the pinned variables.
 """
 
 from __future__ import annotations
@@ -52,8 +52,8 @@ def _build_parser() -> _Parser:
         "--serial",
         action="store_true",
         help="run every trial in this process (clean timing); otherwise "
-        "DOALAB_THREADS processes run trials, this one included, beside "
-        "children started with the platform's default method (fork on Linux)",
+        "DOALAB_THREADS child processes run them, started with the "
+        "platform's default method (fork on Linux)",
     )
     sweep.add_argument(
         "--evaluator",

@@ -394,9 +394,9 @@ def test_run_sweep_metric_columns_are_reproducible():
 
 
 def test_run_sweep_parallel_matches_serial():
-    # The caller runs trials beside workers - 1 children; every count must
-    # give the serial sweep's metric columns in the serial row order.  Eight
-    # trials per value leave the caller a share beside each child's chunks.
+    # One worker runs in-process, 2 or 3 run as children; every count must
+    # give the serial sweep's metric columns in the serial row order.
+    # Eight trials per value give each child several chunks.
     spec = sweep_spec(trials=8)
     serial = run_sweep(spec, serial=True)
     for workers in (1, 2, 3):
@@ -433,8 +433,8 @@ def test_run_sweep_trial_error_propagates_promptly():
         sleep(0.05)
     assert not multiprocessing.active_children()
     assert elapsed < 5.0  # the 20 000 trials at targets=1 take ~2 ms each
-    # With two trials per value both failing trials go to the child's first
-    # chunk and the caller has none: the child's error must surface too.
+    # With two trials per value both failing trials go to the first child's
+    # first chunk: a child's error must surface from a short sweep too.
     with pytest.raises(ValueError, match="could not draw 63 angles"):
         run_sweep(replace(spec, trials=2), workers=2)
 
@@ -451,16 +451,24 @@ def test_run_sweep_leaves_no_child_or_pool_thread_behind():
 
 
 def test_run_sweep_uses_the_platforms_default_start_method(monkeypatch):
-    contexts = []
+    # Every worker is a child, capped at the sweep's trial total; a single
+    # trial starts no pool.
+    contexts, counts = [], []
 
     class Pool(ProcessPoolExecutor):
         def __init__(self, max_workers=None, mp_context=None, **kwargs):
             contexts.append(mp_context)
+            counts.append(max_workers)
             super().__init__(max_workers, mp_context, **kwargs)
 
     monkeypatch.setattr(bench, "ProcessPoolExecutor", Pool)
     run_sweep(sweep_spec(values=(20.0,), trials=2), workers=2)
     assert contexts == [None]
+    counts.clear()
+    for workers in (2, 8):
+        run_sweep(sweep_spec(values=(20.0,), trials=4), workers=workers)
+    run_sweep(sweep_spec(values=(20.0,), trials=1), workers=2)
+    assert counts == [2, 4]
 
 
 def test_run_sweep_pins_blas_threads_in_spawned_children(monkeypatch):

@@ -1,6 +1,7 @@
 """Package surface: the lazy top-level exports, the import graph and the demo scripts."""
 
 import os
+import re
 import runpy
 import subprocess
 import sys
@@ -11,7 +12,8 @@ import pytest
 
 import doalab
 
-DEMOS = Path(__file__).resolve().parent.parent / "demos"
+ROOT = Path(__file__).resolve().parent.parent
+DEMOS = ROOT / "demos"
 
 
 def test_every_export_resolves():
@@ -19,6 +21,14 @@ def test_every_export_resolves():
     # when a user first touches the name.
     for name in doalab.__all__:
         assert getattr(doalab, name) is not None, name
+
+
+def test_distribution_is_named_after_the_package():
+    # So that ``pip show doalab`` and ``pip uninstall doalab`` find it.  A
+    # regex, not tomllib, which Python 3.10 lacks.
+    text = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
+    project = re.search(r"^\[project\]$(.*?)^\[", text, re.M | re.S).group(1)
+    assert re.findall(r'^name\s*=\s*"([^"]*)"', project, re.M) == ["doalab"]
 
 
 @pytest.mark.parametrize("demo", ["quick_look.py", "evaluator_race.py"])
