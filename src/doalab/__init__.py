@@ -62,8 +62,10 @@ _EXPORTS = {
     "partition": "doalab.subspace",
     # greedy
     "GreedyState": "doalab.greedy",
+    "initial_state": "doalab.greedy",
     "greedy_objective": "doalab.greedy",
     "greedy_update": "doalab.greedy",
+    "greedy_step": "doalab.greedy",
     # order
     "OrderEstimate": "doalab.order",
     "aic_rank": "doalab.order",

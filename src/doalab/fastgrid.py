@@ -17,8 +17,9 @@ gives two fast routes, both landing in ascending-angle order:
   route, because it updates the correlations it holds column by column, so
   its grid cost scales with the width r of its operand.
 * quadratic form: ``||A^H a(u)||^2 = a(u)^H H a(u)`` with ``H = A A^H``, a
-  trigonometric polynomial evaluated by a single length-N inverse FFT of H's
-  diagonal sums: O(M^2 r + N log N), independent of r past the Gram product.
+  real trigonometric polynomial evaluated by a single length-N real inverse
+  FFT of H's diagonal sums: O(M^2 r + N log N), independent of r past the
+  Gram product.
 
 Every spectral objective, signal (norm) and noise (reciprocal) form alike,
 takes the quadratic form.  A reciprocal form then recomputes every point
@@ -48,9 +49,6 @@ from doalab.scenario import steering_matrix
 # norm, produce the sentinel value SAT_VALUE.
 SAT_RTOL = 1e-15
 SAT_VALUE = 1e15
-# Ratio-form candidates whose projected steering norm falls below
-# MASK_RTOL * M are masked to -inf (already-selected or degenerate angles).
-MASK_RTOL = 1e-9
 # Reciprocal forms evaluated through the quadratic-form fast path recompute
 # every point below REFINE_RTOL times the spectrum maximum with exact
 # per-column squares: the quadratic form reaches small values by
@@ -60,8 +58,6 @@ REFINE_RTOL = 1e-4
 
 # FFT fast paths, or products with the stored steering (see grid_correlations).
 EVALUATORS = ("fft", "direct")
-# Greedy objective forms that divide by ||Pc a||^2 (see apply_form).
-RATIO_FORMS = ("ratio", "complement-ratio")
 
 
 @dataclass(frozen=True)
@@ -143,25 +139,19 @@ def _diag_sums(H: np.ndarray) -> np.ndarray:
     return sums.view(complex)[M - 1 :]
 
 
-@functools.lru_cache(maxsize=8)
-def _alternating_signs(M: int) -> np.ndarray:
-    """(-1)^d for d = 0 .. M-1."""
-    signs = 1.0 - 2.0 * (np.arange(M) % 2)
-    signs.flags.writeable = False
-    return signs
-
-
 def quadform_fft(H: np.ndarray, grid: DoaGrid) -> np.ndarray:
     """``a(u)^H H a(u)`` over the grid for Hermitian H via a single FFT.
 
-    The quadratic form is a trigonometric polynomial in u whose d-th
-    coefficient is the sum of H's d-th diagonal, so one zero-padded
-    length-N inverse transform evaluates it at every grid angle at once:
+    The quadratic form is a real trigonometric polynomial in u whose d-th
+    coefficient is the sum g_d of H's d-th diagonal (the -d-th sums to
+    conj(g_d)), so one zero-padded real inverse transform of the half
+    spectrum evaluates it at every grid angle at once:
 
-        a(u_p)^H H a(u_p) = g_0 + 2 Re sum_d g_d exp(j pi u_p d)
-                          = 2 Re [ sum_d (-1)^d g_d exp(j 2 pi p d / N) ] - g_0
+        a(u_p)^H H a(u_p) = g_0 + 2 Re sum_{d>=1} g_d exp(j pi u_p d)
+                          = irfft((-1)^d g_d, n=N)[p]
 
-    The result lands directly in ascending-angle order.  Tiny negative
+    with no 1/N factor.  Since N >= 2M the Nyquist bin stays zero.  The
+    result lands directly in ascending-angle order.  Tiny negative
     round-off is clamped to zero so downstream masking and saturation see a
     valid squared norm.
 
@@ -173,13 +163,11 @@ def quadform_fft(H: np.ndarray, grid: DoaGrid) -> np.ndarray:
     Returns:
         Length-N real array aligned with ``grid.angles``.
     """
-    g = _diag_sums(H)
     M = H.shape[0]
-    buf = np.zeros(grid.N, dtype=complex)
-    np.multiply(g, _alternating_signs(M), out=buf[:M])
-    z = sp_fft.ifft(buf, norm="forward", overwrite_x=True)
-    values = 2.0 * z.real
-    values -= g[0].real
+    buf = np.zeros(grid.N // 2 + 1, dtype=complex)
+    buf[:M] = _diag_sums(H)
+    buf[1:M:2] *= -1.0
+    values = sp_fft.irfft(buf, n=grid.N, norm="forward", overwrite_x=True)
     return np.maximum(values, 0.0, out=values)
 
 
@@ -246,25 +234,6 @@ def grid_norms_sq(Z: np.ndarray) -> np.ndarray:
 def colnorms_sq(A: np.ndarray, grid: DoaGrid, evaluator: str = "fft") -> np.ndarray:
     """``||A^H a(u)||^2`` over the grid: the squared columns of grid_correlations."""
     return grid_norms_sq(grid_correlations(A, grid, evaluator))
-
-
-def apply_form(
-    values: np.ndarray, form: str, denom: np.ndarray, masked: np.ndarray
-) -> np.ndarray:
-    """Squared numerator norms as a "norm" or ratio-form objective, in place.
-
-    Ratio forms divide by ``denom = ||Pc a||^2`` and set the ``masked``
-    candidates, ``denom < MASK_RTOL * M``, to -inf; "norm" returns values.
-    """
-    if form == "norm":
-        return values
-    if form not in RATIO_FORMS:
-        raise ValueError(f"{form!r} is not a norm or ratio form")
-    np.divide(values, denom, out=values, where=~masked)
-    if form == "complement-ratio":
-        np.subtract(1.0, values, out=values)
-    values[masked] = -np.inf
-    return values
 
 
 def objective_values(

@@ -39,9 +39,13 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg.blas import zgeru
 
-from doalab.fastgrid import (
-    MASK_RTOL, DoaGrid, apply_form, check_operand, grid_correlations, grid_norms_sq
-)
+from doalab.fastgrid import DoaGrid, check_operand, grid_correlations, grid_norms_sq
+
+# Candidates with ||Pc a||^2 < MASK_RTOL * M are masked (the selected and
+# degenerate angles); a new basis column below it trips the rank guard.
+MASK_RTOL = 1e-9
+# Objective forms that divide by ||Pc a||^2 (OLS-type).
+RATIO_FORMS = ("ratio", "complement-ratio")
 
 
 @dataclass
@@ -90,9 +94,20 @@ def initial_state(X: np.ndarray, grid: DoaGrid, evaluator: str = "fft") -> Greed
 
 
 def greedy_objective(state: GreedyState, form: str) -> np.ndarray:
-    """Scores for the next grid point in ``form`` ("norm", "ratio" or
-    "complement-ratio"); ratio forms mask degenerate candidates with -inf."""
-    return apply_form(grid_norms_sq(state.Z), form, state.d, state.masked)
+    """Scores for the next grid point in ``form``: "norm" is the raw
+    ``||res^H a||^2``; "ratio" divides it by ``d = ||Pc a||^2`` and
+    "complement-ratio" takes 1 minus that, both -inf at masked candidates.
+    Raises ValueError on any other form."""
+    values = grid_norms_sq(state.Z)
+    if form == "norm":
+        return values
+    if form not in RATIO_FORMS:
+        raise ValueError(f"{form!r} is not a norm or ratio form")
+    np.divide(values, state.d, out=values, where=~state.masked)
+    if form == "complement-ratio":
+        np.subtract(1.0, values, out=values)
+    values[state.masked] = -np.inf
+    return values
 
 
 def greedy_update(state: GreedyState, p: int) -> None:

@@ -9,7 +9,7 @@ Each estimator is one row of three choices:
   ``weighted_noise``), or the covariance square root ``sqrt_R``;
 * its objective form: "norm" or "reciprocal" for a spectral row
   (:func:`doalab.fastgrid.objective_values`), "norm" or a ratio form for a
-  greedy one (:func:`doalab.fastgrid.apply_form`);
+  greedy one (:func:`doalab.greedy.greedy_objective`);
 * spectral or greedy: score the grid once and report the K largest peaks, or
   run K iterations of the engine in :mod:`doalab.greedy`.  On the fft path
   a spectral estimate scores its operand's Gram with one quadratic-form FFT,
@@ -45,7 +45,7 @@ class Method(NamedTuple):
         operand: The :class:`~doalab.subspace.SubspaceDecomposition`
             attribute the objective is scored on.
         form: Objective form: "norm", "reciprocal" (spectral only), or one of
-            ``fastgrid.RATIO_FORMS`` (greedy only).
+            ``greedy.RATIO_FORMS`` (greedy only).
         greedy: Select one angle per iteration (True) or the K largest
             peaks of one spectrum (False).
     """

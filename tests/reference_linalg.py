@@ -15,14 +15,8 @@ import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
 from doalab import methods
-from doalab.fastgrid import (
-    MASK_RTOL,
-    RATIO_FORMS,
-    apply_form,
-    colnorms_sq,
-    objective_values,
-    quadform_fft,
-)
+from doalab.fastgrid import colnorms_sq, objective_values, quadform_fft
+from doalab.greedy import MASK_RTOL, RATIO_FORMS
 from doalab.linalg import hermitian_evd
 
 # Rank guard for the normal-equations pseudoinverse.
@@ -98,9 +92,10 @@ def complement_projector(state) -> np.ndarray:
 def reference_objective_values(num, grid, form, evaluator="fft", pc=None) -> np.ndarray:
     """:func:`doalab.fastgrid.objective_values`, plus the ratio forms scored
     from scratch: ``||num^H a||^2`` over the projected steering norm
-    ``||Pc a||^2``.  The complement projector ``pc`` is Hermitian idempotent,
-    hence its own Gram matrix, so on the fft path the denominator
-    ``a^H Pc a`` is a single quadratic-form transform.
+    ``||Pc a||^2``, or 1 minus that for "complement-ratio", and -inf where
+    ``||Pc a||^2 < MASK_RTOL * M``.  The complement projector ``pc`` is
+    Hermitian idempotent, hence its own Gram matrix, so on the fft path the
+    denominator ``a^H Pc a`` is a single quadratic-form transform.
 
     Raises:
         ValueError: On a ratio form without ``pc``.
@@ -113,7 +108,11 @@ def reference_objective_values(num, grid, form, evaluator="fft", pc=None) -> np.
     quad = evaluator == "fft"
     values = colnorms_sq(num, grid, evaluator)
     denom = quadform_fft(pc, grid) if quad else colnorms_sq(pc, grid, evaluator)
-    return apply_form(values, form, denom, denom < MASK_RTOL * M)
+    masked = denom < MASK_RTOL * M
+    ratio = values[~masked] / denom[~masked]
+    values[~masked] = 1.0 - ratio if form == "complement-ratio" else ratio
+    values[masked] = -np.inf
+    return values
 
 
 def estimate_with_evd_per_iter(method, R, K, grid, evaluator="fft") -> np.ndarray:

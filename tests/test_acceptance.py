@@ -26,8 +26,8 @@ import numpy as np
 import pytest
 
 from doalab.bench import run_trial
-from doalab.fastgrid import MASK_RTOL, make_grid
-from doalab.greedy import greedy_objective, greedy_update, initial_state
+from doalab.fastgrid import make_grid
+from doalab.greedy import MASK_RTOL, greedy_objective, greedy_update, initial_state
 from doalab.linalg import evd_call_count, hermitian_evd
 from doalab.methods import METHOD_IDS, estimate_method
 from doalab.metrics import associate, detection_metrics, diagnostics, diagonality_score

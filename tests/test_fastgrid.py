@@ -9,13 +9,13 @@ from conftest import random_complex, random_covariance
 from doalab import fastgrid, linalg
 from doalab.fastgrid import (
     SAT_VALUE,
-    apply_form,
     colnorms_sq,
     grid_correlations,
     make_grid,
     objective_values,
     quadform_fft,
 )
+from doalab.greedy import MASK_RTOL
 from doalab.methods import METHOD_IDS, METHODS, estimate_method, pseudospectrum
 from doalab.order import aic_rank, hybrid_order
 from doalab.scenario import steering_matrix
@@ -231,11 +231,7 @@ def brute_quadform(H, grid):
     return out
 
 
-@pytest.mark.parametrize("seed", range(8))
-def test_quadform_matches_brute_force(seed):
-    rng = np.random.default_rng(seed)
-    M = int(rng.integers(1, 24))
-    N = 2 ** int(rng.integers(math.ceil(math.log2(max(2 * M, 4))), 11))
+def check_quadform_against_brute_force(rng, M, N):
     grid = make_grid(N, M)
     A = random_complex(rng, M, int(rng.integers(1, M + 1)))
     H = A @ A.conj().T
@@ -243,6 +239,21 @@ def test_quadform_matches_brute_force(seed):
     ref = brute_quadform(H, grid)
     np.testing.assert_allclose(vals, ref, rtol=0, atol=1e-10 * ref.max())
     assert np.argmax(vals) == np.argmax(ref)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_quadform_matches_brute_force(seed):
+    rng = np.random.default_rng(seed)
+    M = int(rng.integers(1, 24))
+    N = 2 ** int(rng.integers(math.ceil(math.log2(max(2 * M, 4))), 11))
+    check_quadform_against_brute_force(rng, M, N)
+
+
+@pytest.mark.parametrize("M, N", [(1, 2), (8, 16), (64, 128)])
+def test_quadform_matches_brute_force_on_the_smallest_grid(M, N):
+    # N = 2M: the half spectrum has M + 1 bins, the last of them the
+    # Nyquist bin, which the M diagonal sums never reach.
+    check_quadform_against_brute_force(np.random.default_rng(M), M, N)
 
 
 def test_quadform_of_projector_matches_its_column_norms():
@@ -259,7 +270,7 @@ def test_quadform_of_projector_matches_its_column_norms():
     assert np.all(vals >= 0.0)
     # Selected angles land within round-off of zero, far below the ratio
     # masking threshold, and never negative.
-    assert max(vals[37], vals[201], vals[455]) < fastgrid.MASK_RTOL * M
+    assert max(vals[37], vals[201], vals[455]) < MASK_RTOL * M
 
 
 def test_quadform_rank_one_steering_peak():
@@ -352,56 +363,11 @@ def test_reciprocal_form_saturation_is_scale_invariant(scale):
     np.testing.assert_allclose(fast[ok], slow[ok], rtol=1e-8)
 
 
-def ratio_form(num, Pc, grid, form):
-    """``form`` of ``||num^H a||^2`` over ``||Pc a||^2``, as the greedy
-    engine applies it, masking below MASK_RTOL * M."""
-    denom = colnorms_sq(Pc, grid, "direct")
-    masked = denom < fastgrid.MASK_RTOL * grid.M
-    return apply_form(colnorms_sq(num, grid, "direct"), form, denom, masked)
-
-
-def test_ratio_form_masks_selected_angles():
-    M, N = 8, 64
-    grid = make_grid(N, M)
-    p_sel = 12
-    a_sel = steering_matrix([grid.angles[p_sel]], M)
-    _, Pc = projectors(a_sel)
-    rng = np.random.default_rng(4)
-    num = Pc @ random_complex(rng, M, 3)
-    vals = ratio_form(num, Pc, grid, "ratio")
-    assert vals[p_sel] == -np.inf
-    unmasked = vals[np.isfinite(vals)]
-    assert unmasked.size > 0 and np.all(unmasked >= 0)
-    # Hand-check one unmasked ratio.
-    p = 40
-    a = steering_matrix([grid.angles[p]], M)[:, 0]
-    expect = np.sum(np.abs(num.conj().T @ a) ** 2) / np.sum(np.abs(Pc @ a) ** 2)
-    np.testing.assert_allclose(vals[p], expect, rtol=1e-9)
-
-
-def test_complement_ratio_form():
-    M, N = 8, 64
-    grid = make_grid(N, M)
-    rng = np.random.default_rng(6)
-    p_sel = 50
-    a_sel = steering_matrix([grid.angles[p_sel]], M)
-    _, Pc = projectors(a_sel)
-    num = Pc @ random_complex(rng, M, 2)
-    plain = ratio_form(num, Pc, grid, "ratio")
-    comp = ratio_form(num, Pc, grid, "complement-ratio")
-    mask = np.isfinite(plain)
-    np.testing.assert_array_equal(np.isfinite(comp), mask)
-    np.testing.assert_allclose(comp[mask], 1.0 - plain[mask], rtol=1e-9)
-    assert comp[p_sel] == -np.inf
-
-
 def test_unknown_form_rejected():
     grid = make_grid(32, 4)
     A = random_complex(np.random.default_rng(0), 4, 2)
-    # The ratio forms score the greedy engine's state (apply_form); the
+    # The ratio forms score the greedy engine's state (greedy_objective); the
     # spectral objective_values takes only "norm" and "reciprocal".
     for form in ("ols", "ratio"):
         with pytest.raises(ValueError, match="unknown objective form"):
             objective_values(A, grid, form)
-    with pytest.raises(ValueError, match="not a norm or ratio form"):
-        apply_form(np.ones(grid.N), "reciprocal", np.ones(grid.N), np.zeros(grid.N, bool))

@@ -183,6 +183,54 @@ def test_ols_masks_already_selected_candidates():
     assert int(np.argmax(second)) != p0
 
 
+def ratio_state(seed, p_sel, width, M=8, N=64):
+    """A state on a random M x ``width`` operand after selecting ``p_sel``,
+    with the complement projector of that selection."""
+    grid = make_grid(N, M)
+    X = random_complex(np.random.default_rng(seed), M, width)
+    state = initial_state(X, grid)
+    greedy_update(state, p_sel)
+    _, Pc = projectors(steering_matrix([grid.angles[p_sel]], M))
+    return state, Pc
+
+
+def test_ratio_form_masks_selected_angles():
+    p_sel = 12
+    state, Pc = ratio_state(4, p_sel, 3)
+    vals = greedy_objective(state, "ratio")
+    assert vals[p_sel] == -np.inf
+    unmasked = vals[np.isfinite(vals)]
+    assert unmasked.size > 0 and np.all(unmasked >= 0)
+    # Hand-check one unmasked ratio.
+    p = 40
+    a = state.grid.steering[:, p]
+    expect = np.sum(np.abs(state.res.conj().T @ a) ** 2) / np.sum(np.abs(Pc @ a) ** 2)
+    np.testing.assert_allclose(vals[p], expect, rtol=1e-9)
+
+
+def test_complement_ratio_form():
+    p_sel = 50
+    state, Pc = ratio_state(6, p_sel, 2)
+    plain = greedy_objective(state, "ratio")
+    comp = greedy_objective(state, "complement-ratio")
+    mask = np.isfinite(plain)
+    np.testing.assert_array_equal(np.isfinite(comp), mask)
+    np.testing.assert_allclose(comp[mask], 1.0 - plain[mask], rtol=1e-9)
+    assert comp[p_sel] == -np.inf
+    p = 20
+    a = state.grid.steering[:, p]
+    ratio = np.sum(np.abs(state.res.conj().T @ a) ** 2) / np.sum(np.abs(Pc @ a) ** 2)
+    np.testing.assert_allclose(comp[p], 1.0 - ratio, rtol=1e-9)
+
+
+def test_unknown_greedy_form_rejected():
+    # The spectral "reciprocal" form is not a greedy one.
+    state, _ = ratio_state(0, 3, 2)
+    for form in ("reciprocal", "ols"):
+        with pytest.raises(ValueError, match="not a norm or ratio form"):
+            greedy_objective(state, form)
+
+
 def test_unknown_method_rejected():
     _, R, _, grid = scenario_sqrt(seed=6)
     with pytest.raises(ValueError, match="unknown method id"):

@@ -8,9 +8,11 @@ import sys
 import textwrap
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import doalab
+from conftest import random_covariance
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = ROOT / "demos"
@@ -21,6 +23,19 @@ def test_every_export_resolves():
     # when a user first touches the name.
     for name in doalab.__all__:
         assert getattr(doalab, name) is not None, name
+
+
+def test_top_level_greedy_surface_runs_an_estimate():
+    # The exported engine reproduces OLS: a state on the covariance square
+    # root, then K ratio-form steps, picks estimate_method's grid indices.
+    M, K = 8, 3
+    grid = doalab.make_grid(64, M)
+    R = random_covariance(np.random.default_rng(5), M)
+    state = doalab.initial_state(doalab.partition(R, K).sqrt_R, grid)
+    for _ in range(K):
+        doalab.greedy_step(state, "ratio")
+    est = doalab.estimate_method("ols", R, K, grid)
+    assert list(state.selected) == np.searchsorted(grid.angles, est).tolist()
 
 
 def test_distribution_is_named_after_the_package():
