@@ -22,9 +22,9 @@ from time import perf_counter
 import numpy as np
 
 from doalab.fastgrid import make_grid
+from doalab.linalg import sample_covariance
 from doalab.methods import estimate_method
 from doalab.scenario import ScenarioConfig, draw_targets, synthesize_observation, trial_rng
-from doalab.subspace import sample_covariance
 
 METHODS = ("music-signal", "music-noise", "omp", "ols", "omp-imusic", "ols-imusic")
 

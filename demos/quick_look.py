@@ -11,11 +11,10 @@ benchmark harness automates.  Run:
 import numpy as np
 
 from doalab.fastgrid import make_grid
-from doalab.linalg import hermitian_evd
+from doalab.linalg import partition, sample_covariance
 from doalab.methods import estimate_method, pseudospectrum
 from doalab.metrics import associate, detection_metrics
 from doalab.scenario import ScenarioConfig, draw_targets, synthesize_observation, trial_rng
-from doalab.subspace import partition, sample_covariance
 
 
 def ascii_spectrum(values, grid, truth, width=72, rows=12):
@@ -45,7 +44,8 @@ def main():
     print("true angles:", ", ".join(f"{u:+.4f}" for u in np.sort(truth.doas)))
 
     R = sample_covariance(obs.Y)
-    lam, _ = hermitian_evd(R)
+    dec = partition(R, cfg.targets)
+    lam = dec.eigenvalues
     print(f"\neigenvalue ladder (top {cfg.targets + 2}): "
           + ", ".join(f"{x:.3g}" for x in lam[: cfg.targets + 2]))
     print(f"signal-to-tail ratio lambda_{cfg.targets}/lambda_{cfg.targets + 1} "
@@ -53,7 +53,7 @@ def main():
 
     grid = make_grid(cfg.grid_points, cfg.antennas)
 
-    spectrum = pseudospectrum(partition(R, cfg.targets), grid, "music-noise").values
+    spectrum = pseudospectrum(dec, grid, "music-noise").values
     print("\nnoise-form pseudospectrum (truth marked with ^):")
     print(ascii_spectrum(spectrum, grid, truth))
 

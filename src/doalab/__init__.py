@@ -42,6 +42,9 @@ _EXPORTS = {
     # linalg
     "hermitian_evd": "doalab.linalg",
     "evd_call_count": "doalab.linalg",
+    "SubspaceDecomposition": "doalab.linalg",
+    "sample_covariance": "doalab.linalg",
+    "partition": "doalab.linalg",
     # scenario
     "ScenarioConfig": "doalab.scenario",
     "GroundTruth": "doalab.scenario",
@@ -56,10 +59,6 @@ _EXPORTS = {
     "DoaGrid": "doalab.fastgrid",
     "Pseudospectrum": "doalab.fastgrid",
     "make_grid": "doalab.fastgrid",
-    # subspace
-    "SubspaceDecomposition": "doalab.subspace",
-    "sample_covariance": "doalab.subspace",
-    "partition": "doalab.subspace",
     # greedy
     "GreedyState": "doalab.greedy",
     "initial_state": "doalab.greedy",

@@ -65,6 +65,8 @@ _SCENARIO_TYPES = get_type_hints(ScenarioConfig)
 def _check_trial_args(methods: tuple, criteria: tuple, evaluator: str) -> None:
     """The argument checks of ``run_trial`` (see its Raises), shared with
     ``SweepSpec.validate``."""
+    if not methods:
+        raise ValueError("methods must be non-empty")
     if len(set(methods)) != len(methods):
         raise ValueError("method ids must be unique")
     for m in methods:
@@ -120,8 +122,6 @@ class SweepSpec:
                 raise ValueError(
                     f"{self.parameter} value {value!r} is not a valid {kind.__name__}"
                 )
-        if not self.methods:
-            raise ValueError("methods must be non-empty")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
         _check_trial_args(
@@ -219,9 +219,9 @@ def run_trial(
         evaluator: "fft" or "direct".
 
     Raises:
-        ValueError: On a duplicate or unknown method id, a criteria tuple
-            whose length is not the method count, an unknown order
-            criterion, or an unknown evaluator.
+        ValueError: On an empty method tuple, a duplicate or unknown method
+            id, a criteria tuple whose length is not the method count, an
+            unknown order criterion, or an unknown evaluator.
     """
     if criteria is None:
         criteria = ("true-k",) * len(methods)

@@ -1,20 +1,22 @@
-"""The method table: every estimator id, and the one path that runs them all.
+"""The method table: every estimator id, the one path that runs them all,
+and the peak picker the spectral rows report through.
 
 Each estimator is one row of three choices:
 
 * its operand, named by the attribute of the one eigendecomposition of the
-  sample covariance (:func:`doalab.subspace.partition`) that holds it: the
+  sample covariance (:func:`doalab.linalg.partition`) that holds it: the
   signal eigenvectors ``S``, the noise eigenvectors ``G``, either scaled by
   the square roots of its eigenvalues (``weighted_signal``,
   ``weighted_noise``), or the covariance square root ``sqrt_R``;
 * its objective form: "norm" or "reciprocal" for a spectral row
   (:func:`doalab.fastgrid.objective_values`), "norm" or a ratio form for a
   greedy one (:func:`doalab.greedy.greedy_objective`);
-* spectral or greedy: score the grid once and report the K largest peaks, or
-  run K iterations of the engine in :mod:`doalab.greedy`.  On the fft path
-  a spectral estimate scores its operand's Gram with one quadratic-form FFT,
-  whatever the operand's width; a greedy estimate transforms its operand
-  onto the grid once, then one more column per selection.
+* spectral or greedy: score the grid once and report the K largest peaks
+  (:func:`select_peak_indices`), or run K iterations of the engine in
+  :mod:`doalab.greedy`.  On the fft path a spectral estimate scores its
+  operand's Gram with one quadratic-form FFT, whatever the operand's width;
+  a greedy estimate transforms its operand onto the grid once, then one
+  more column per selection.
 
 The square root factors exactly into the scaled signal and noise subspaces,
 so the greedy rows are one family: the OMP objective is the sum of the
@@ -35,14 +37,14 @@ import numpy as np
 
 from doalab.fastgrid import DoaGrid, Pseudospectrum, objective_values
 from doalab.greedy import greedy_step, initial_state
-from doalab.subspace import SubspaceDecomposition, partition, select_peak_indices
+from doalab.linalg import SubspaceDecomposition, partition
 
 
 class Method(NamedTuple):
     """One row of the method table.
 
     Attributes:
-        operand: The :class:`~doalab.subspace.SubspaceDecomposition`
+        operand: The :class:`~doalab.linalg.SubspaceDecomposition`
             attribute the objective is scored on.
         form: Objective form: "norm", "reciprocal" (spectral only), or one of
             ``greedy.RATIO_FORMS`` (greedy only).
@@ -74,6 +76,37 @@ METHOD_IDS = tuple(METHODS)
 # signal form's argmax (the two residual energies partition ||Pc a||^2) and
 # the narrower operand.
 _OLS_IMUSIC_NOISE = Method("G", "complement-ratio", True)
+
+
+def select_peak_indices(values: np.ndarray, K: int) -> np.ndarray:
+    """Indices of the K largest strict local maxima of a grid function.
+
+    A point qualifies when it beats both neighbors.  The half-wavelength
+    u-grid is a circle, a(-1) = a(+1), so the first and last points are
+    each other's neighbors.
+    When fewer than K strict maxima exist, the largest remaining non-peak
+    values fill the quota.  The result is ordered by descending value with
+    ties broken toward the lower grid index.
+    """
+    v = np.asarray(values, dtype=float)
+    n = v.size
+    if K < 1:
+        return np.empty(0, dtype=int)
+    peak = np.zeros(n, dtype=bool)
+    if n == 1:
+        peak[0] = True
+    else:
+        peak[0] = v[0] > v[1] and v[0] > v[-1]
+        peak[-1] = v[-1] > v[-2] and v[-1] > v[0]
+        if n > 2:
+            peak[1:-1] = (v[1:-1] > v[:-2]) & (v[1:-1] > v[2:])
+    peaks = np.flatnonzero(peak)
+    chosen = peaks[np.argsort(-v[peaks], kind="stable")][:K]
+    if chosen.size < K:
+        rest = np.flatnonzero(~peak)
+        fill = rest[np.argsort(-v[rest], kind="stable")][: K - chosen.size]
+        chosen = np.concatenate([chosen, fill])
+    return chosen[np.lexsort((chosen, -v[chosen]))]
 
 
 def pseudospectrum(

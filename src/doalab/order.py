@@ -16,8 +16,7 @@ import numpy as np
 
 from doalab.fastgrid import DoaGrid
 from doalab.greedy import greedy_step, initial_state
-from doalab.linalg import hermitian_evd
-from doalab.subspace import SubspaceDecomposition
+from doalab.linalg import partition
 
 ORDER_CRITERIA = ("true-k", "rank-aic", "hybrid")
 
@@ -150,14 +149,15 @@ def model_orders(R, criteria, K: int, snapshots: int, grid: DoaGrid, evaluator: 
     "true-k" is the configured count K; "rank-aic" is :func:`aic_rank` on
     the eigenvalues of R, averaged over ``snapshots``; "hybrid" is
     :func:`hybrid_order` on R's square root over ``grid``, floored at the
-    rank-aic order.  R is eigendecomposed once, and only for rank-aic or
+    rank-aic order.  R is eigendecomposed once, by
+    :func:`doalab.linalg.partition` with K = 0, and only for rank-aic or
     hybrid.
     """
     orders = {}
     if "true-k" in criteria:
         orders["true-k"] = K
     if "rank-aic" in criteria or "hybrid" in criteria:
-        dec = SubspaceDecomposition(*hermitian_evd(R), K=0)
+        dec = partition(R, 0)
         orders["rank-aic"] = aic_rank(dec.eigenvalues, snapshots).k_hat
         if "hybrid" in criteria:
             hyb = hybrid_order(dec.sqrt_R, grid, orders["rank-aic"], snapshots, evaluator)

@@ -6,16 +6,9 @@ evaluators and methods measure algorithmic cost rather than thread-pool
 scheduling, and so results are bit-reproducible.
 """
 
-import os
+import doalab
 
-for _var in (
-    "OMP_NUM_THREADS",
-    "OPENBLAS_NUM_THREADS",
-    "MKL_NUM_THREADS",
-    "NUMEXPR_NUM_THREADS",
-    "VECLIB_MAXIMUM_THREADS",
-):
-    os.environ.setdefault(_var, "1")
+doalab.pin_blas_threads()
 
 import numpy as np  # noqa: E402
 import pytest  # noqa: E402

@@ -28,7 +28,7 @@ import pytest
 from doalab.bench import run_trial
 from doalab.fastgrid import make_grid
 from doalab.greedy import MASK_RTOL, greedy_objective, greedy_update, initial_state
-from doalab.linalg import evd_call_count, hermitian_evd
+from doalab.linalg import evd_call_count, hermitian_evd, partition, sample_covariance
 from doalab.methods import METHOD_IDS, estimate_method
 from doalab.metrics import associate, detection_metrics, diagnostics, diagonality_score
 from doalab.scenario import (
@@ -39,7 +39,6 @@ from doalab.scenario import (
     synthesize_observation,
     trial_rng,
 )
-from doalab.subspace import partition, sample_covariance
 from reference_linalg import (
     complement_projector,
     estimate_with_evd_per_iter,

@@ -34,7 +34,7 @@ from doalab.bench import (
 from doalab.cli import main
 from doalab.config import ConfigError, parse_config
 from doalab.fastgrid import make_grid, objective_values
-from doalab.linalg import hermitian_evd
+from doalab.linalg import hermitian_evd, partition, sample_covariance
 from doalab.methods import METHOD_IDS, estimate_method
 from doalab.scenario import (
     ScenarioConfig,
@@ -45,7 +45,6 @@ from doalab.scenario import (
     synthesize_observation,
     trial_rng,
 )
-from doalab.subspace import partition, sample_covariance
 
 
 def small_cfg(**overrides):
@@ -590,12 +589,18 @@ def test_sweep_spec_validation(overrides, message):
         ((("omp", "omp"), None), "unique"),
         ((("omp",), ("oracle",)), "order criterion"),
         ((("omp",), None, "fftw"), "unknown evaluator"),
+        (((), None), "methods must be non-empty"),
     ],
 )
-def test_run_trial_rejects_what_no_trial_can_run(args, message):
+def test_run_trial_rejects_what_no_trial_can_run(args, message, monkeypatch):
     # Before, zip() silently dropped the methods past a short criteria
-    # tuple, an unknown method or evaluator became a per-method failure and
-    # an unknown criterion a KeyError.
+    # tuple, an unknown method or evaluator became a per-method failure, an
+    # unknown criterion a KeyError, and an empty method tuple failed only in
+    # the scoring, after the whole scene was drawn.
+    def no_draw(*_, **__):
+        raise AssertionError("a scene was drawn")
+
+    monkeypatch.setattr(bench, "draw_targets", no_draw)
     with pytest.raises(ValueError, match=message):
         run_trial(small_cfg(), 0, *args)
 

@@ -16,10 +16,10 @@ from doalab.fastgrid import (
     quadform_fft,
 )
 from doalab.greedy import MASK_RTOL
+from doalab.linalg import partition
 from doalab.methods import METHOD_IDS, METHODS, estimate_method, pseudospectrum
 from doalab.order import aic_rank, hybrid_order
 from doalab.scenario import steering_matrix
-from doalab.subspace import partition
 from reference_linalg import projectors
 
 

@@ -8,7 +8,7 @@ import pytest
 from doalab import greedy
 from doalab.fastgrid import colnorms_sq, make_grid
 from doalab.greedy import greedy_objective, greedy_step, greedy_update, initial_state
-from doalab.linalg import evd_call_count
+from doalab.linalg import evd_call_count, partition, sample_covariance
 from doalab.methods import METHODS, estimate_method, pseudospectrum
 from doalab.scenario import (
     GroundTruth,
@@ -18,7 +18,6 @@ from doalab.scenario import (
     synthesize_observation,
     trial_rng,
 )
-from doalab.subspace import partition, sample_covariance
 from reference_linalg import (
     complement_projector,
     estimate_with_evd_per_iter,
@@ -203,11 +202,12 @@ def test_evd_emulation_counts_k_and_keeps_selection():
 
 
 def test_estimate_validates_k():
+    # K = 0 is accepted (no angle), so the message names 0 as the floor.
     R, _, grid, _ = scenario_dec(seed=13)
-    with pytest.raises(ValueError, match="K must satisfy"):
-        estimate_method("ols-imusic", R, -1, grid)
-    with pytest.raises(ValueError, match="K must satisfy"):
-        estimate_method("ols-imusic", R, 8, grid)
+    for method in METHODS:
+        for K in (-1, 8):
+            with pytest.raises(ValueError, match=r"K must satisfy 0 <= K < M, got K=-?\d+, M=8"):
+                estimate_method(method, R, K, grid)
 
 
 @pytest.mark.parametrize("method", GIMUSIC_METHODS)

@@ -13,6 +13,7 @@ from doalab.greedy import (
     greedy_update,
     initial_state,
 )
+from doalab.linalg import partition, sample_covariance
 from doalab.methods import METHODS, estimate_method
 from doalab.scenario import (
     GroundTruth,
@@ -22,7 +23,6 @@ from doalab.scenario import (
     synthesize_observation,
     trial_rng,
 )
-from doalab.subspace import partition, sample_covariance
 from reference_linalg import (
     complement_projector,
     projectors,

@@ -5,7 +5,7 @@ import pytest
 
 from conftest import random_complex, random_covariance
 from doalab import linalg
-from doalab.subspace import SubspaceDecomposition, partition
+from doalab.linalg import SubspaceDecomposition, partition
 from reference_linalg import projectors, pseudoinverse
 
 SEEDS = range(12)

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from doalab import order
 from doalab.fastgrid import make_grid
-from doalab.linalg import evd_call_count, hermitian_evd
+from doalab.linalg import evd_call_count, hermitian_evd, partition, sample_covariance
 from doalab.order import (
     aic_rank,
     hybrid_order,
@@ -23,7 +23,6 @@ from doalab.scenario import (
     synthesize_observation,
     trial_rng,
 )
-from doalab.subspace import SubspaceDecomposition, sample_covariance
 
 
 def aic_curve_oracle(w, L):
@@ -160,7 +159,7 @@ def hybrid_inputs(seed=0, K=2, M=8, snr_db=math.inf, on_grid=True, N=256):
         truth = draw_targets(cfg, rng)
     obs = synthesize_observation(truth, cfg, rng)
     R = sample_covariance(obs.Y)
-    evd = SubspaceDecomposition(*hermitian_evd(R), K=0)
+    evd = partition(R, 0)
     return cfg, grid, R, evd.sqrt_R, evd
 
 
@@ -265,7 +264,7 @@ def test_hybrid_stops_below_max_k_on_a_noisy_scene():
     for t in range(12):
         rng = trial_rng(cfg.seed, t)
         obs = synthesize_observation(draw_targets(cfg, rng), cfg, rng)
-        evd = SubspaceDecomposition(*hermitian_evd(sample_covariance(obs.Y)), K=0)
+        evd = partition(sample_covariance(obs.Y), 0)
         base = aic_rank(evd.eigenvalues, L)
         est = hybrid_order(evd.sqrt_R, grid, base.k_hat, L, "direct")
         k_hats.append(est.k_hat)

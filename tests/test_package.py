@@ -46,10 +46,44 @@ def test_distribution_is_named_after_the_package():
     assert re.findall(r'^name\s*=\s*"([^"]*)"', project, re.M) == ["doalab"]
 
 
-@pytest.mark.parametrize("demo", ["quick_look.py", "evaluator_race.py"])
+@pytest.mark.parametrize("demo", ["quick_look.py", "evaluator_race.py", "snr_sweep.py"])
 def test_demo_runs(demo, capsys):
     runpy.run_path(str(DEMOS / demo), run_name="__main__")
     assert "ols-imusic" in capsys.readouterr().out
+
+
+def test_readme_quick_start_runs(capsys):
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"^## Quick start\n\n```python\n(.*?)^```$", text, re.M | re.S).group(1)
+    exec(compile(block, "README.md", "exec"), {"__name__": "__main__"})
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 2 and all(line.startswith("[") for line in lines), lines
+
+
+def test_pinning_blas_threads_does_not_load_numpy():
+    # The pin only holds if it runs before numpy loads, so the test setup,
+    # the command line and the tools call it right after ``import doalab``.
+    # A fresh interpreter, because this one has loaded numpy long ago.
+    script = textwrap.dedent(
+        """
+        import os, sys
+        import doalab
+        doalab.pin_blas_threads()
+        print("numpy" in sys.modules, [os.environ[v] for v in doalab.BLAS_THREAD_VARS])
+        """
+    )
+    src = str(Path(doalab.__file__).resolve().parent.parent)
+    env = {k: v for k, v in os.environ.items() if k not in doalab.BLAS_THREAD_VARS}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, "-c", script],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=60,
+        check=True,
+    )
+    assert out.stdout.strip() == f"False {['1'] * len(doalab.BLAS_THREAD_VARS)}", out.stdout
 
 
 def test_scoring_trials_does_not_import_scipy_optimize():

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from doalab import scenario
-from doalab.linalg import evd_call_count
+from doalab.linalg import evd_call_count, sample_covariance
 from doalab.scenario import (
     GroundTruth,
     ScenarioConfig,
@@ -22,7 +22,6 @@ from doalab.scenario import (
     synthesize_observation,
     trial_rng,
 )
-from doalab.subspace import sample_covariance
 from reference_linalg import projectors
 
 

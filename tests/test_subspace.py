@@ -10,20 +10,14 @@ from hypothesis.extra import numpy as hnp
 
 from conftest import random_complex, random_covariance
 from doalab.fastgrid import SAT_VALUE, make_grid
-from doalab.linalg import evd_call_count
-from doalab.methods import METHOD_IDS, estimate_method, pseudospectrum
+from doalab.linalg import SubspaceDecomposition, evd_call_count, partition, sample_covariance
+from doalab.methods import METHOD_IDS, estimate_method, pseudospectrum, select_peak_indices
 from doalab.scenario import (
     GroundTruth,
     ScenarioConfig,
     steering_matrix,
     synthesize_observation,
     trial_rng,
-)
-from doalab.subspace import (
-    SubspaceDecomposition,
-    partition,
-    sample_covariance,
-    select_peak_indices,
 )
 
 
@@ -82,9 +76,18 @@ def test_partition_splits_eigenpairs(seed):
 
 def test_partition_rejects_bad_K():
     R = np.eye(4, dtype=complex)
-    for K in (0, 4, 5):
-        with pytest.raises(ValueError):
+    for K in (-1, 4, 5):
+        with pytest.raises(ValueError, match="0 <= K < M"):
             partition(R, K)
+
+
+def test_partition_with_zero_order_puts_every_eigenpair_in_the_noise_block():
+    R = random_covariance(np.random.default_rng(7), 5)
+    dec = partition(R, 0)
+    assert dec.S.shape == (5, 0) and dec.lambda_s.size == 0
+    np.testing.assert_array_equal(dec.G, dec.eigenvectors)
+    np.testing.assert_array_equal(dec.lambda_n, dec.eigenvalues)
+    np.testing.assert_array_equal(dec.weighted_noise, dec.sqrt_R)
 
 
 @pytest.mark.parametrize("method", METHOD_IDS)
